@@ -14,7 +14,6 @@
 #include "mapping/rubik.hpp"
 #include "profile/profile.hpp"
 #include "routing/oblivious.hpp"
-#include "routing/route_cache.hpp"
 #include "topology/presets.hpp"
 
 namespace rahtm::bench {
@@ -126,17 +125,6 @@ std::vector<std::unique_ptr<TaskMapper>> paperRoster(
 std::vector<MapperRun> runStudy(const Workload& workload,
                                 const ExperimentScale& scale) {
   const CommGraph graph = workload.commGraph();
-  // Mapper/simulator route sharing: past the complete-table ceiling the
-  // RAHTM mapper solves on a tiered cache anyway, so hand the same cache to
-  // the simulator — every pair the solve touched is a warm read in flow
-  // mode. At complete-table scales both sides keep their historical
-  // (baseline-gated) private tables.
-  std::shared_ptr<TieredRouteCache> routeCache;
-  simnet::SimConfig sim = scale.sim;
-  if (!RouteTable::fullBuildFeasible(scale.machine)) {
-    routeCache = std::make_shared<TieredRouteCache>(scale.machine);
-    sim.routeCache = routeCache;
-  }
   std::vector<MapperRun> out;
   for (auto& mapper : paperRoster(scale)) {
     MapperRun run;
@@ -144,7 +132,6 @@ std::vector<MapperRun> runStudy(const Workload& workload,
     Timer t;
     Mapping m;
     if (auto* rahtm = dynamic_cast<RahtmMapper*>(mapper.get())) {
-      rahtm->config().routeCache = routeCache;
       m = rahtm->mapWorkload(workload, scale.machine, scale.concentration);
     } else {
       m = mapper->map(graph, scale.machine, scale.concentration);
@@ -153,7 +140,7 @@ std::vector<MapperRun> runStudy(const Workload& workload,
     const std::string err = m.validate(scale.machine, scale.concentration);
     RAHTM_REQUIRE(err.empty(), run.mapper + ": invalid mapping: " + err);
     run.commCycles = static_cast<double>(commCyclesPerIteration(
-        workload, scale.machine, m, sim, IterationModel::RankPipelined,
+        workload, scale.machine, m, scale.sim, IterationModel::RankPipelined,
         scale.simIterations));
     run.mcl = placementMcl(scale.machine, graph, m.nodeVector());
     run.hopBytes = hopBytes(graph, scale.machine, m.nodeVector());

@@ -1,39 +1,29 @@
 /// \file suites_route.cpp
-/// The `route_micro` suite: the tiered route cache's regression anchor
-/// (routing/route_cache.hpp). Registered through the suite registry from
-/// this translation unit, like the serve suite.
+/// The `route_micro` suite: the regression anchor of the route table
+/// (RouteTable, routing/delta_eval.hpp). Registered through the suite
+/// registry from this translation unit, like the serve suite.
 ///
-/// Two parts:
+/// Three records, each at a fixed shape independent of the env scale so the
+/// ledger is comparable across hosts:
 ///
-///  * **Tier parity micro** (fixed 64-node probe torus, independent of the
-///    env scale so the ledger is comparable across hosts): every (src,dst)
-///    pair read through the sparse tier is compared bit for bit against a
-///    complete dense RouteTable, then the cache is shed and every pair is
-///    re-read (refault path) and compared again. The mismatch counters have
-///    committed baselines of 0 — any nonzero value is a hard failure.
+///  * **parity64** — every (src,dst) route of a 64-node torus read from the
+///    table and compared bit for bit against forEachUniformMinimalLoad()
+///    grouped by channel. `table_parity_mismatches` has a committed
+///    baseline of 0 — any nonzero value is a hard failure.
 ///
-///  * **Paper-scale smoke** (512-node BG/Q partition, CG): the full
-///    hierarchical solve past the complete-table ceiling, where the mapper
-///    auto-provisions a tiered cache (dense sub-torus tables streamed per
-///    pin wave, the machine served from the sparse tier). Quality (mcl /
-///    hop_bytes) is gated at the default tolerances; the solve is repeated
-///    on a second cache squeezed to ~1 MB of sparse budget (evict-and-
-///    refault throughout) and the two mappings must agree rank for rank —
-///    route eviction may never change results. The reference mcl comes
-///    from placementMcl(), the table-free canonical dense enumeration, so
-///    `tier_vs_dense_mcl_mismatches` pins the sparse tier to the dense
-///    path at paper scale.
+///  * **CG512** — the full hierarchical solve on the paper's 512-node BG/Q
+///    partition (CG, trimmed search budget). mcl / hop_bytes are gated at
+///    the default tolerances and peak_rss_mb at 25% like every suite. The
+///    route_table account's peak and the RSS coverage after the solve are
+///    recorded, never gated.
 ///
-/// The cache traffic counters (hits / misses / refaults / evictions,
-/// per-tier bytes) and wall time are reported, never gated: eviction
-/// timing is host-dependent noise; route *content* is not. `peak_rss_mb`
-/// rides the standard per-suite mem section (gated at 25% like every
-/// suite), which is what bounds the 512-node run's residency in CI.
+///  * **table8x8x8x10** — one table build on a 5120-node torus: ten times
+///    the paper partition. Entries and MB are gated (route memory is O(N));
+///    the build time is recorded.
 
-#include <cmath>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "bench/experiment.hpp"
@@ -41,10 +31,9 @@
 #include "common/timer.hpp"
 #include "core/rahtm.hpp"
 #include "graph/stats.hpp"
-#include "obs/metrics.hpp"
-#include "routing/evaluator.hpp"
+#include "obs/mem.hpp"
+#include "routing/delta_eval.hpp"
 #include "routing/oblivious.hpp"
-#include "routing/route_cache.hpp"
 #include "workloads/workload.hpp"
 
 namespace rahtm::bench {
@@ -53,26 +42,40 @@ namespace {
 
 constexpr double kMb = 1024.0 * 1024.0;
 
-/// Install a private registry for the suite's duration so the cache's
-/// rahtm.route.* gauges exist without polluting a co-resident session.
-struct ScopedMetrics {
-  obs::MetricsRegistry* prev = obs::metrics();
-  obs::MetricsRegistry registry;
-  ScopedMetrics() { obs::setMetrics(&registry); }
-  ~ScopedMetrics() { obs::setMetrics(prev); }
-};
-
-bool spanEq(const RouteTable::Span& a, const RouteTable::Span& b) {
-  if (a.size != b.size) return false;
-  for (std::size_t i = 0; i < a.size; ++i) {
-    if (a.channels[i] != b.channels[i]) return false;
-    if (a.fracs[i] != b.fracs[i]) return false;
+/// Routes of \p table that differ from the uniform-minimal enumeration
+/// grouped by channel (first-appearance order, fractions in order).
+std::int64_t parityMismatches(const RouteTable& table) {
+  const Torus& topo = table.topology();
+  const auto n = static_cast<NodeId>(topo.numNodes());
+  std::int64_t mismatches = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId d = 0; d < n; ++d) {
+      std::map<ChannelId, std::size_t> groupOf;
+      std::vector<std::pair<ChannelId, std::vector<double>>> want;
+      forEachUniformMinimalLoad(
+          topo, topo.coordOf(s), topo.coordOf(d), 1.0,
+          [&](ChannelId c, double f) {
+            const auto [it, fresh] = groupOf.emplace(c, want.size());
+            if (fresh) want.emplace_back(c, std::vector<double>{});
+            want[it->second].second.push_back(f);
+          });
+      const RouteTable::Span got = table.find(s, d);
+      bool same = got.channels() == want.size();
+      std::size_t k = 0;
+      got.forEachChannel([&](ChannelId c, const double* first,
+                             const double* last) {
+        same = same && c == want[k].first &&
+               std::vector<double>(first, last) == want[k].second;
+        ++k;
+      });
+      if (!same) ++mismatches;
+    }
   }
-  return true;
+  return mismatches;
 }
 
-/// Trim the hierarchical solver to smoke-test effort: the 512-node part
-/// exercises every tier of the route cache, not the full search budget.
+/// Trim the hierarchical solver to smoke-test effort: the 512-node record
+/// exercises every phase at the paper's scale, not the full search budget.
 void trimForSmoke(RahtmConfig& cfg) {
   cfg.subproblem.annealRestarts = 2;
   cfg.subproblem.annealIters = 2000;
@@ -85,67 +88,19 @@ void trimForSmoke(RahtmConfig& cfg) {
 obs::RunReport suiteRouteMicro(const ExperimentScale& scale) {
   obs::RunReport report;
   report.suite = "route_micro";
+  obs::MemRegistry& mem = obs::MemRegistry::instance();
 
-  ScopedMetrics metrics;
-
-  // ---- Part 1: sparse-tier parity against a complete dense table --------
-  // 64 nodes keeps the all-pairs sweep trivial while still spanning the
-  // sharded map; the tight maxSparseBytes forces inline LRU eviction in
-  // the middle of the sweep, so refaults happen under normal reads too.
   {
     const Torus probe = Torus::torus(Shape{4, 4, 4});
-    const std::shared_ptr<const RouteTable> dense = RouteTable::buildFull(probe);
-    TieredRouteCache::Config cfg;
-    cfg.maxSparseBytes = 32 * 1024;
-    cfg.registerDegrade = false;  // a bench suite must not touch the
-                                  // process-wide degrade roster
-    TieredRouteCache cache(probe, cfg);
-    TieredRouteCache::Scratch scratch;
-    const NodeId n = static_cast<NodeId>(probe.numNodes());
-
-    std::int64_t parityMismatches = 0;
-    Timer sweep;
-    for (NodeId s = 0; s < n; ++s) {
-      for (NodeId d = 0; d < n; ++d) {
-        if (!spanEq(cache.read(s, d, scratch), dense->find(s, d))) {
-          ++parityMismatches;
-        }
-      }
-    }
-    const double sweepSeconds = sweep.seconds();
-
-    // Shed everything, then re-read: every pair is a refault and must
-    // still match the dense build bit for bit.
-    cache.shed(0);
-    std::int64_t refaultMismatches = 0;
-    for (NodeId s = 0; s < n; ++s) {
-      for (NodeId d = 0; d < n; ++d) {
-        if (!spanEq(cache.read(s, d, scratch), dense->find(s, d))) {
-          ++refaultMismatches;
-        }
-      }
-    }
-
-    const TieredRouteCache::Stats st = cache.stats();
-    cache.noteMetrics();
     obs::RunRecord record;
     record.benchmark = "parity64";
-    record.mapper = "tiered";
-    record.add("tier_parity_mismatches", static_cast<double>(parityMismatches));
-    record.add("evict_refault_mismatches",
-               static_cast<double>(refaultMismatches));
-    record.add("route_sparse_hits", static_cast<double>(st.sparseHits));
-    record.add("route_sparse_misses", static_cast<double>(st.sparseMisses));
-    record.add("route_refaults", static_cast<double>(st.refaults));
-    record.add("route_evictions", static_cast<double>(st.evictions));
-    record.add("route_sparse_mb", static_cast<double>(st.sparseBytes) / kMb);
-    record.add("route_sweep_seconds", sweepSeconds);
+    record.mapper = "table";
+    record.add("table_parity_mismatches", static_cast<double>(parityMismatches(
+                                              *RouteTable::buildFull(probe))));
     report.records.push_back(std::move(record));
   }
 
-  // ---- Part 2: 512-node paper-scale smoke --------------------------------
-  // Always at the paper partition regardless of the env scale: breaking
-  // the complete-table ceiling is the whole point of this suite. The env
+  // Always at the paper partition regardless of the env scale. The env
   // scale still fixes the message size so the ledger fingerprint stays
   // honest about what was run.
   {
@@ -153,72 +108,38 @@ obs::RunReport suiteRouteMicro(const ExperimentScale& scale) {
         ExperimentScale::fromSpec(512, 1, scale.params.messageBytes, 1);
     const Workload workload = makeNasByName("CG", paper.ranks(), paper.params);
     const CommGraph graph = workload.commGraph();
-
-    // Reference solve: a roomy (but still bounded) sparse tier. Unlimited,
-    // the 512-node refine phase's all-pairs touch set holds ~1.6 GB of
-    // routes; a 256 MB LRU budget keeps the suite's RSS honest while
-    // evicting rarely enough that the solve stays warm.
-    TieredRouteCache::Config roomyCfg;
-    roomyCfg.maxSparseBytes = 256 * 1024 * 1024;
-    const auto roomy =
-        std::make_shared<TieredRouteCache>(paper.machine, roomyCfg);
-    RahtmMapper reference;
-    trimForSmoke(reference.config());
-    reference.config().routeCache = roomy;
+    RahtmMapper mapper;
+    trimForSmoke(mapper.config());
     Timer mapTimer;
     const Mapping mapped =
-        reference.mapWorkload(workload, paper.machine, paper.concentration);
+        mapper.mapWorkload(workload, paper.machine, paper.concentration);
     const double mapSeconds = mapTimer.seconds();
+    mem.sampleRss();
 
-    // Evict-and-refault solve: same configuration, 32 MB sparse budget —
-    // an eighth of the roomy run — so the solver loses routes mid-search
-    // and refaults them continuously. The mapping must not move by a
-    // single rank.
-    TieredRouteCache::Config tight;
-    tight.maxSparseBytes = 32 * 1024 * 1024;
-    const auto squeezed =
-        std::make_shared<TieredRouteCache>(paper.machine, tight);
-    RahtmMapper evicted;
-    trimForSmoke(evicted.config());
-    evicted.config().routeCache = squeezed;
-    const Mapping remapped =
-        evicted.mapWorkload(workload, paper.machine, paper.concentration);
-    std::int64_t mappingMismatches = 0;
-    for (RankId r = 0; r < paper.ranks(); ++r) {
-      if (mapped.nodeOf(r) != remapped.nodeOf(r)) ++mappingMismatches;
-    }
-
-    // Quality under the table-free canonical dense enumeration, and the
-    // same value recomputed through the sparse tier: the two paths must
-    // agree exactly (route spans are bit-identical by construction).
-    const double mcl =
-        placementMcl(paper.machine, graph, mapped.nodeVector());
-    MclEvaluator tiered(paper.machine, roomy);
-    const double tieredMcl = tiered.mcl(graph, mapped.nodeVector());
-    const std::int64_t mclMismatches = tieredMcl == mcl ? 0 : 1;
-
-    const TieredRouteCache::Stats roomySt = roomy->stats();
-    const TieredRouteCache::Stats tightSt = squeezed->stats();
-    roomy->noteMetrics();
     obs::RunRecord record;
     record.benchmark = "CG512";
     record.mapper = "rahtm";
-    record.add("mcl", mcl);
+    record.add("mcl", placementMcl(paper.machine, graph, mapped.nodeVector()));
     record.add("hop_bytes", hopBytes(graph, paper.machine, mapped.nodeVector()));
-    record.add("tier_vs_dense_mcl_mismatches",
-               static_cast<double>(mclMismatches));
-    record.add("evict_refault_mapping_mismatches",
-               static_cast<double>(mappingMismatches));
     record.add("map_seconds", mapSeconds);
-    record.add("route_dense_tables", static_cast<double>(roomySt.denseTables));
-    record.add("route_dense_mb", static_cast<double>(roomySt.denseBytes) / kMb);
-    record.add("route_sparse_mb",
-               static_cast<double>(roomySt.sparseBytes) / kMb);
-    record.add("route_sparse_hits", static_cast<double>(roomySt.sparseHits));
-    record.add("route_sparse_misses",
-               static_cast<double>(roomySt.sparseMisses));
-    record.add("route_refaults", static_cast<double>(tightSt.refaults));
-    record.add("route_evictions", static_cast<double>(tightSt.evictions));
+    record.add("solve_route_table_peak_mb",
+               static_cast<double>(
+                   mem.peakBytes(obs::MemAccountId::RouteTable)) /
+                   kMb);
+    record.add("rss_coverage", obs::currentMemSection().rssCoverage);
+    report.records.push_back(std::move(record));
+  }
+
+  {
+    Timer buildTimer;
+    const auto table = RouteTable::buildFull(Torus::torus(Shape{8, 8, 8, 10}));
+    const double buildSeconds = buildTimer.seconds();
+    obs::RunRecord record;
+    record.benchmark = "table8x8x8x10";
+    record.mapper = "table";
+    record.add("table_entries", static_cast<double>(table->entryCount()));
+    record.add("table_mb", static_cast<double>(table->footprintBytes()) / kMb);
+    record.add("table_build_seconds", buildSeconds);
     report.records.push_back(std::move(record));
   }
 

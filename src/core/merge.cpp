@@ -7,10 +7,10 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/route_cache.hpp"
 #include "routing/oblivious.hpp"
 
 namespace rahtm {
@@ -249,36 +249,58 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   std::size_t pinnedLineage = 0;
 
   LoadDelta delta(regionTopo.numChannelSlots());
-  // Flat SoA route cache (shared engine infrastructure); built lazily —
-  // one region call is single-threaded. A provider-supplied complete table
-  // (cross-request cache) short-circuits the lazy build; route contents are
-  // identical either way.
-  std::shared_ptr<const RouteTable> sharedRoutes;
-  std::shared_ptr<TieredRouteCache> tieredRoutes;
-  if (useLoads && RouteTable::fullBuildFeasible(regionTopo)) {
-    if (cfg.routeCache != nullptr) {
-      sharedRoutes = cfg.routeCache->denseTier(regionTopo);
-    } else if (cfg.artifacts != nullptr) {
-      sharedRoutes = cfg.artifacts->routeTable(regionTopo);
-    }
-  } else if (useLoads && cfg.routeCache != nullptr &&
-             cfg.routeCache->topology() == regionTopo) {
-    // Top-level merge on a machine past the complete-table ceiling: the
-    // sparse tier serves (and retains across the solve) the touched pairs.
-    tieredRoutes = cfg.routeCache;
-  }
-  RouteTable routeTable(regionTopo);
-  RouteScratch tierScratch;
-  const auto forFlow = [&](NodeId src, NodeId dst, double volume, auto&& sink) {
-    const RouteTable::Span r =
-        sharedRoutes != nullptr ? sharedRoutes->find(src, dst)
-        : tieredRoutes != nullptr ? tieredRoutes->read(src, dst, tierScratch)
-                                  : routeTable.get(src, dst);
-    for (std::size_t i = 0; i < r.size; ++i) {
-      sink(r.channels[i], volume * r.fracs[i]);
+  const std::shared_ptr<const RouteTable> routes =
+      useLoads ? routeTableFor(regionTopo, cfg.artifacts) : nullptr;
+  std::vector<NodeId> childPos;
+
+  // Visit (na, nb, bytes) for every flow of child ci that connects two
+  // distinct placed nodes once ci sits at childPos on top of entry
+  // (co-located flows add neither load nor hop-bytes).
+  const auto forPlacedFlows = [&](const BeamEntry& entry, std::size_t ci,
+                                  auto&& visit) {
+    const auto nodeOf = [&](std::size_t cluster) {
+      return childOfCluster[cluster] == ci
+                 ? childPos[cluster - clusterBase[ci]]
+                 : entry.localNode[cluster];
+    };
+    for (const std::uint32_t fi : flowsTouching.of(ci)) {
+      const FlowRef& f = flows[fi];
+      const NodeId na = nodeOf(f.a);
+      const NodeId nb = nodeOf(f.b);
+      if (na == kInvalidNode || nb == kInvalidNode || na == nb) continue;
+      visit(na, nb, f.bytes);
     }
   };
-  std::vector<NodeId> childPos;
+  // The same flows' channel loads, one sink(channel, load) per route
+  // fraction; each channel's loads arrive in enumeration order.
+  const auto routeChildFlows = [&](const BeamEntry& entry, std::size_t ci,
+                                   auto&& sink) {
+    forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
+      routes->find(na, nb).forEachChannel(
+          [&](ChannelId c, const double* first, const double* last) {
+            for (; first != last; ++first) sink(c, bytes * *first);
+          });
+    });
+  };
+  // Objective of placing child ci at childPos on top of entry.
+  const auto scoreChild = [&](const BeamEntry& entry, std::size_t ci) {
+    if (!useLoads) {
+      double hb = entry.hopBytes;
+      forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
+        hb += bytes * regionTopo.distance(na, nb);
+      });
+      return hb;
+    }
+    delta.clear();
+    routeChildFlows(entry, ci,
+                    [&](ChannelId c, double v) { delta.add(c, v); });
+    // max(partial + delta) == max(partialMax, max over touched).
+    double m = entry.maxLoad;
+    for (const ChannelId c : delta.touched()) {
+      m = std::max(m, entry.loads[static_cast<std::size_t>(c)] + delta.at(c));
+    }
+    return m;
+  };
 
   struct Candidate {
     std::size_t parent;
@@ -337,50 +359,12 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         const Coord slot = slotGrid.coordOf(static_cast<NodeId>(slotId));
         for (std::size_t oi = 0; oi < orients.size(); ++oi) {
           placeChild(ci, orients[oi], slot, childPos);
-          double objective;
-          if (useLoads) {
-            delta.clear();
-            // Route the new block's incident flows whose peer is placed
-            // (or inside the block itself).
-            for (const std::uint32_t fi : flowsTouching.of(ci)) {
-              const FlowRef& f = flows[fi];
-              const NodeId na = childOfCluster[f.a] == ci
-                                    ? childPos[f.a - clusterBase[ci]]
-                                    : entry.localNode[f.a];
-              const NodeId nb = childOfCluster[f.b] == ci
-                                    ? childPos[f.b - clusterBase[ci]]
-                                    : entry.localNode[f.b];
-              if (na == kInvalidNode || nb == kInvalidNode || na == nb) {
-                continue;
-              }
-              forFlow(
-                  na, nb, f.bytes,
-                  [&delta](ChannelId c, double v) { delta.add(c, v); });
-            }
-            // max(partial + delta) == max(partialMax, max over touched).
-            double m = entry.maxLoad;
-            for (const ChannelId c : delta.touched()) {
-              m = std::max(m, entry.loads[static_cast<std::size_t>(c)] +
-                                  delta.at(c));
-            }
-            objective = m;
-          } else {
-            double hb = entry.hopBytes;
-            for (const std::uint32_t fi : flowsTouching.of(ci)) {
-              const FlowRef& f = flows[fi];
-              const NodeId na = childOfCluster[f.a] == ci
-                                    ? childPos[f.a - clusterBase[ci]]
-                                    : entry.localNode[f.a];
-              const NodeId nb = childOfCluster[f.b] == ci
-                                    ? childPos[f.b - clusterBase[ci]]
-                                    : entry.localNode[f.b];
-              if (na == kInvalidNode || nb == kInvalidNode) continue;
-              hb += f.bytes * regionTopo.distance(na, nb);
-            }
-            objective = hb;
-          }
-          consider({bi, oi, slotId, objective});
+          consider({bi, oi, slotId, scoreChild(entry, ci)});
         }
+        // Batched liveness: one beat per (entry, slot) keeps the watchdog
+        // from reading a long root merge as a stall.
+        obs::Heartbeats::instance().beat(obs::Pulse::MergeCandidates,
+                                         orients.size());
       }
     }
     RAHTM_REQUIRE(!best.empty(), "mergeChildren: no feasible candidate");
@@ -388,51 +372,10 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     // Force the pinned-lineage extension (pin-only internals at the pinned
     // slot) into the survivor set, guaranteeing the global pseudo-pin
     // solution survives to the end.
-    {
-      {
-        Candidate pin{pinnedLineage, kPinOrient, pinnedSlot, 0};
-        const BeamEntry& entry = beam[pinnedLineage];
-        placeChildPin(ci, childPos);
-        if (useLoads) {
-          delta.clear();
-          for (const std::uint32_t fi : flowsTouching.of(ci)) {
-            const FlowRef& f = flows[fi];
-            const NodeId na = childOfCluster[f.a] == ci
-                                  ? childPos[f.a - clusterBase[ci]]
-                                  : entry.localNode[f.a];
-            const NodeId nb = childOfCluster[f.b] == ci
-                                  ? childPos[f.b - clusterBase[ci]]
-                                  : entry.localNode[f.b];
-            if (na == kInvalidNode || nb == kInvalidNode || na == nb) continue;
-            forFlow(
-                na, nb, f.bytes,
-                [&](ChannelId c, double v) { delta.add(c, v); });
-          }
-          double m = entry.maxLoad;
-          for (const ChannelId c : delta.touched()) {
-            m = std::max(m,
-                         entry.loads[static_cast<std::size_t>(c)] + delta.at(c));
-          }
-          pin.objective = m;
-        } else {
-          double hb = entry.hopBytes;
-          for (const std::uint32_t fi : flowsTouching.of(ci)) {
-            const FlowRef& f = flows[fi];
-            const NodeId na = childOfCluster[f.a] == ci
-                                  ? childPos[f.a - clusterBase[ci]]
-                                  : entry.localNode[f.a];
-            const NodeId nb = childOfCluster[f.b] == ci
-                                  ? childPos[f.b - clusterBase[ci]]
-                                  : entry.localNode[f.b];
-            if (na == kInvalidNode || nb == kInvalidNode) continue;
-            hb += f.bytes * regionTopo.distance(na, nb);
-          }
-          pin.objective = hb;
-        }
-        ++candidatesEvaluated;
-        best.push_back(pin);
-      }
-    }
+    placeChildPin(ci, childPos);
+    best.push_back({pinnedLineage, kPinOrient, pinnedSlot,
+                    scoreChild(beam[pinnedLineage], ci)});
+    ++candidatesEvaluated;
 
     // Materialize survivors into the next beam.
     std::vector<BeamEntry> next;
@@ -451,17 +394,11 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         e.localNode[base + k] = childPos[k];
       }
       if (useLoads) {
-        for (const std::uint32_t fi : flowsTouching.of(ci)) {
-          const FlowRef& f = flows[fi];
-          const NodeId na = e.localNode[f.a];
-          const NodeId nb = e.localNode[f.b];
-          // Only flows fully placed *now* and not counted before: exactly
-          // those touching ci with both endpoints placed.
-          if (na == kInvalidNode || nb == kInvalidNode || na == nb) continue;
-          forFlow(na, nb, f.bytes, [&e](ChannelId ch, double v) {
-            e.loads[static_cast<std::size_t>(ch)] += v;
-          });
-        }
+        // Only flows fully placed *now* and not counted before: exactly
+        // those touching ci with both endpoints placed.
+        routeChildFlows(beam[c.parent], ci, [&e](ChannelId ch, double v) {
+          e.loads[static_cast<std::size_t>(ch)] += v;
+        });
         e.maxLoad = c.objective;
       } else {
         e.hopBytes = c.objective;

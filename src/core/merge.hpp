@@ -49,12 +49,8 @@ struct MergeConfig {
   long maxOrientations = 1024;    ///< deterministic subsample cap
   MapObjective objective = MapObjective::Mcl;
   /// Optional provider of shared route tables (non-owning; must outlive the
-  /// call). Null = build the region's route cache locally.
+  /// call). Null = build the region's route table locally.
   ArtifactSource* artifacts = nullptr;
-  /// Optional tiered route cache: dense tier for feasible region shapes,
-  /// sparse global tier when the region IS the machine and the machine is
-  /// past the complete-table ceiling.
-  std::shared_ptr<TieredRouteCache> routeCache;
 };
 
 struct MergeResult {

@@ -14,7 +14,6 @@
 #include "routing/delta_eval.hpp"
 #include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm {
 
@@ -137,14 +136,6 @@ struct Pipeline {
                      cube.coordOf(sols[i].vertexOf[j]);
           if (k + 1 < L) next.push_back(children[j]);
         }
-      }
-      // Stream the level's dense table out: the next wave solves a
-      // different cube shape, so holding every level's table resident
-      // would rebuild the old all-levels footprint at scale. (No-op when
-      // the cache delegates to a cross-request artifact source, which owns
-      // its own LRU.)
-      if (cfg.subproblem.routeCache != nullptr) {
-        cfg.subproblem.routeCache->releaseDense(cube);
       }
       wave = std::move(next);
     }
@@ -294,22 +285,6 @@ Mapping RahtmMapper::map(const CommGraph& graph, const Torus& topo,
   config_.merge.artifacts = config_.artifacts;
   config_.refine.artifacts = config_.artifacts;
 
-  // Resolve the tiered route cache the same way: caller-supplied, then the
-  // artifact provider's shared instance, then — only past the complete-
-  // table ceiling, where the historical paths would materialize an
-  // unaffordable table — a solve-local one. At small scales with no
-  // provider the cache stays null and every phase behaves exactly as
-  // before (the gated baselines see no change at all).
-  if (config_.routeCache == nullptr && config_.artifacts != nullptr) {
-    config_.routeCache = config_.artifacts->routeCache(topo);
-  }
-  if (config_.routeCache == nullptr && !RouteTable::fullBuildFeasible(topo)) {
-    config_.routeCache = std::make_shared<TieredRouteCache>(topo);
-  }
-  config_.subproblem.routeCache = config_.routeCache;
-  config_.merge.routeCache = config_.routeCache;
-  config_.refine.routeCache = config_.routeCache;
-
   Pipeline pipe(config_, graph, topo, concentration, rankGrid, &stats_);
 
   // Quality attribution baseline: the canonical (identity) cluster
@@ -398,24 +373,8 @@ Mapping RahtmMapper::map(const CommGraph& graph, const Torus& topo,
     if (config_.canonicalSeed) {
       // Lexicographic comparison under the active objective.
       bool canonicalWins;
-      MclEvaluator evaluator = [&] {
-        if (RouteTable::fullBuildFeasible(topo)) {
-          if (config_.routeCache != nullptr) {
-            return MclEvaluator(topo, config_.routeCache->denseTier(topo));
-          }
-          if (config_.artifacts != nullptr) {
-            return MclEvaluator(topo, config_.artifacts->routeTable(topo));
-          }
-        } else if (config_.routeCache != nullptr &&
-                   config_.routeCache->topology() == topo) {
-          // Paper scale: score both candidates off the sparse global tier
-          // (already warm from merge/refine) instead of re-deriving every
-          // touched route into a private lazy table.
-          return MclEvaluator(topo, config_.routeCache);
-        }
-        return MclEvaluator(topo);
-      }();
       if (rcfg.objective == MapObjective::Mcl) {
+        MclEvaluator evaluator(topo, routeTableFor(topo, config_.artifacts));
         const auto sm = evaluator.summarize(clusterGraph, nodeOfCluster);
         const auto sc = evaluator.summarize(clusterGraph, canonical);
         canonicalWins = sc.mcl < sm.mcl - 1e-12 ||

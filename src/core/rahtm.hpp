@@ -48,14 +48,6 @@ struct RahtmConfig {
   /// behavior). Shared artifacts are content-identical to local builds, so
   /// mappings stay bit-identical.
   ArtifactSource* artifacts = nullptr;
-  /// Optional tiered route cache shared across phases (and, via SimConfig,
-  /// with the simulator). When null, map() resolves one from `artifacts`
-  /// or — on machines past the complete-table ceiling — creates its own, so
-  /// paper-scale solves stream dense sub-torus tables level by level and
-  /// serve the full machine from the evictable sparse tier. At complete-
-  /// table scales a null cache leaves the historical per-phase paths
-  /// untouched (bit- and allocation-identical to previous releases).
-  std::shared_ptr<TieredRouteCache> routeCache;
 };
 
 /// Timing and accounting for the §V-B optimization-time experiment.

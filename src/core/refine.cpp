@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm {
 
@@ -77,24 +76,12 @@ RefineResult refineImpl(const Torus& topo, const CommGraph& clusterGraph,
   ecfg.trackHopBytes = hopBytes;
   std::shared_ptr<const RouteTable> routes;
   std::shared_ptr<const FlowIncidence> incidence;
-  std::shared_ptr<TieredRouteCache> tiered;
-  if (ecfg.trackLoads && RouteTable::fullBuildFeasible(topo)) {
-    if (cfg.routeCache != nullptr) {
-      routes = cfg.routeCache->denseTier(topo);
-    } else if (cfg.artifacts != nullptr) {
-      routes = cfg.artifacts->routeTable(topo);
-    }
-  } else if (ecfg.trackLoads && cfg.routeCache != nullptr &&
-             cfg.routeCache->topology() == topo) {
-    // Past the complete-table ceiling: the sparse global tier serves the
-    // touched pairs, evicting cold ones under memory pressure.
-    tiered = cfg.routeCache;
-  }
+  if (ecfg.trackLoads) routes = routeTableFor(topo, cfg.artifacts);
   if (cfg.artifacts != nullptr) {
     incidence = cfg.artifacts->flowIncidence(clusterGraph);
   }
   DeltaPlacementEval eval(topo, clusterGraph, nodeOfCluster, ecfg, routes,
-                          incidence, tiered);
+                          incidence);
 
   double curMax = eval.mcl();
   double curSq = eval.sumSquares();

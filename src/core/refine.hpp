@@ -52,11 +52,6 @@ struct RefineConfig {
   /// Optional provider of shared route tables / flow incidences (non-owning;
   /// must outlive the call). Null = build artifacts locally.
   ArtifactSource* artifacts = nullptr;
-  /// Optional tiered route cache. Dense tier when the topology is small
-  /// enough for a complete table; sparse global tier (copy-out reads,
-  /// evictable under memory pressure) when it is not — which is what lets
-  /// refinement run past the dense table's feasibility ceiling.
-  std::shared_ptr<TieredRouteCache> routeCache;
 };
 
 struct RefineResult {

@@ -18,7 +18,6 @@
 #include "routing/delta_eval.hpp"
 #include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm {
 
@@ -77,23 +76,13 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(restarts));
   for (auto& s : seeds) s = master.next();
 
-  // Subproblem cubes are small enough to enumerate every (src,dst) route up
-  // front; the complete table is immutable and shared read-only by all
-  // restarts (and pool workers). Hop-bytes needs no routes at all.
+  // One immutable route table, shared read-only by all restarts (and pool
+  // workers). Hop-bytes needs no routes at all.
   DeltaEvalConfig ecfg;
   ecfg.trackLoads = cfg.objective == MapObjective::Mcl;
   ecfg.trackHopBytes = cfg.objective == MapObjective::HopBytes;
-  std::shared_ptr<const RouteTable> routes;
-  if (ecfg.trackLoads && RouteTable::fullBuildFeasible(cube)) {
-    if (cfg.routeCache != nullptr) {
-      // Dense tier: memoized across the sibling solves of a pin wave (and
-      // streamed out by the pipeline once the wave's level completes).
-      routes = cfg.routeCache->denseTier(cube);
-    } else {
-      routes = cfg.artifacts != nullptr ? cfg.artifacts->routeTable(cube)
-                                        : RouteTable::buildFull(cube);
-    }
-  }
+  const std::shared_ptr<const RouteTable> routes =
+      ecfg.trackLoads ? routeTableFor(cube, cfg.artifacts) : nullptr;
   // One incidence for all restarts (content-deterministic, so sharing keeps
   // results bit-identical to per-restart builds).
   const std::shared_ptr<const FlowIncidence> incidence =

@@ -7,7 +7,6 @@
 /// for mid-sized cubes, and multi-restart simulated annealing beyond that.
 /// The thresholds are configurable so studies can force one method.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,8 +19,7 @@ namespace exec {
 class ThreadPool;
 }
 
-class ArtifactSource;     // routing/delta_eval.hpp
-class TieredRouteCache;   // routing/route_cache.hpp
+class ArtifactSource;  // routing/delta_eval.hpp
 
 /// Hard feasibility cap for exhaustiveSearch: 9! = 362880 placements.
 /// dispatchSubproblem clamps SubproblemConfig::exhaustiveMaxVerts to this
@@ -50,11 +48,6 @@ struct SubproblemConfig {
   /// artifacts are content-identical to locally built ones, so results stay
   /// bit-identical either way.
   ArtifactSource* artifacts = nullptr;
-  /// Optional tiered route cache. When set, dense per-cube tables come from
-  /// its dense tier (memoized across sibling waves; streamed out by the
-  /// pipeline between levels) instead of a fresh buildFull per solve.
-  /// Content-identical, so results stay bit-identical either way.
-  std::shared_ptr<TieredRouteCache> routeCache;
 };
 
 struct SubproblemSolution {

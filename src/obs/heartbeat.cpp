@@ -15,6 +15,7 @@ const char* pulseName(Pulse p) {
     case Pulse::RefineProbes: return "refine_probes";
     case Pulse::SimnetCycles: return "simnet_cycles";
     case Pulse::PoolTasks: return "pool_tasks";
+    case Pulse::MergeCandidates: return "merge_candidates";
     case Pulse::kCount: break;
   }
   return "unknown";

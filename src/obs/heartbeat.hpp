@@ -3,9 +3,10 @@
 /// Always-on liveness counters for the run-forensics layer.
 ///
 /// Every instrumented hot loop (simplex pivots, MILP branch-and-bound
-/// nodes, annealing iterations, refinement probes, simulator cycles, pool
-/// tasks) publishes progress by bumping a monotonic heartbeat counter. The
-/// watchdog (obs/watchdog.hpp) samples the counters periodically: as long
+/// nodes, annealing iterations, refinement probes, merge candidates,
+/// simulator cycles, pool tasks) publishes progress by bumping a monotonic
+/// heartbeat counter. The watchdog (obs/watchdog.hpp) samples the counters
+/// periodically: as long
 /// as *any* counter moved, the process is making progress; when none moved
 /// for longer than the active phase's deadline, the run is stalled and the
 /// watchdog escalates (log -> post-mortem dump -> optional abort). The
@@ -48,6 +49,7 @@ enum class Pulse : int {
   RefineProbes,       ///< core/refine.cpp swap probes
   SimnetCycles,       ///< simnet/simulator.cpp cycle loop
   PoolTasks,          ///< exec/thread_pool.cpp completed tasks
+  MergeCandidates,    ///< core/merge.cpp beam candidates scored
   kCount,
 };
 constexpr int kPulseCount = static_cast<int>(Pulse::kCount);

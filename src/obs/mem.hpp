@@ -28,8 +28,8 @@
 /// staged and monotonic like the watchdog's escalation:
 ///   stage 1 (80% of budget):  WARN  — log the per-account breakdown
 ///   stage 2 (100%):           DEGRADE — invoke the registered degrade
-///                             callbacks (owners of shed-able state, e.g. a
-///                             tiered route cache dropping eagerly built
+///                             callbacks (owners of shed-able state, e.g.
+///                             the serve artifact cache dropping shared
 ///                             tables) and log how much they returned
 ///   stage 3 (125%):           FAIL — throw MemBudgetError; the run dies
 ///                             with the breakdown in the message instead of
@@ -57,7 +57,7 @@ namespace rahtm::obs {
 /// array readable from signal context; `Other` catches instrumentation that
 /// has no better home and keeps the enum total-able.
 enum class MemAccountId : int {
-  RouteTable = 0,  ///< RouteTable pair index + route arenas (routing/delta_eval)
+  RouteTable = 0,  ///< RouteTable index + route arenas (routing/delta_eval)
   FlowIncidence,   ///< CSR flow incidence (graph/comm_graph)
   Simnet,          ///< simulator queues, mailboxes, message state (simnet)
   Lp,              ///< simplex tableau / basis matrices (lp)

@@ -2,23 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "routing/oblivious.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm {
 
 namespace {
 
-/// Above this node count the N^2 dense pair index would dominate memory;
-/// fall back to a hash index (the arena layout is unchanged).
-constexpr std::int64_t kDenseIndexNodeCap = 1024;
-
-/// Eager full-table builds are reserved for subproblem-sized topologies
-/// (every (src,dst) pair is enumerated; cubes re-anneal thousands of times
-/// and amortize the build across restarts and threads).
-constexpr std::int64_t kEagerBuildNodeCap = 128;
+/// Advance a row-major mixed-radix counter (last digit fastest).
+void advanceDigits(Coord& digit, const Coord& extent) {
+  for (std::size_t d = digit.size(); d-- > 0;) {
+    if (++digit[d] < extent[d]) return;
+    digit[d] = 0;
+  }
+}
 
 /// Cancellation-residue scrub threshold, relative to the channel's peak
 /// applied load. An absolute cutoff (the old -1e-7) misclassifies
@@ -31,96 +31,178 @@ inline double scrubResidue(double v, double peak) {
   return std::abs(v) < kResidueRelEps * peak ? 0.0 : v;
 }
 
-inline std::uint64_t pairKey(NodeId src, NodeId dst) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-         static_cast<std::uint32_t>(dst);
-}
-
 }  // namespace
 
 // ---- RouteTable -----------------------------------------------------------
 
 RouteTable::RouteTable(const Torus& topo) : topo_(topo) {
-  denseIndex_ = topo.numNodes() <= kDenseIndexNodeCap;
-  if (denseIndex_) {
-    dense_.resize(static_cast<std::size_t>(topo.numNodes() * topo.numNodes()));
+  const std::size_t n = topo.ndims();
+  Coord vext(n, 0);
+  SmallVec<std::int64_t, kMaxDims> vstride(n, 0);
+  std::int64_t cells = 1;
+  for (std::size_t d = n; d-- > 0;) {
+    vext[d] = 2 * topo.extent(d) - 1;
+    vstride[d] = cells;
+    cells *= vext[d];
   }
-  accountBytes();
-}
-
-void RouteTable::accountBytes() {
-  std::size_t b = dense_.capacity() * sizeof(Slice) +
-                  channels_.capacity() * sizeof(ChannelId) +
-                  fracs_.capacity() * sizeof(double);
-  // Hash-index fallback: node size (pair + two pointers of chaining
-  // overhead) per entry plus the bucket array. An estimate, but the arena
-  // dominates at any scale where the sparse index is active.
-  b += sparse_.size() *
-           (sizeof(std::pair<const std::uint64_t, Slice>) + 2 * sizeof(void*)) +
-       sparse_.bucket_count() * sizeof(void*);
-  mem_.set(static_cast<std::int64_t>(b));
-}
-
-RouteTable::Slice& RouteTable::sliceOf(NodeId src, NodeId dst) {
-  if (denseIndex_) {
-    return dense_[static_cast<std::size_t>(
-        static_cast<std::int64_t>(src) * topo_.numNodes() + dst)];
+  RAHTM_REQUIRE(cells <= std::numeric_limits<std::int32_t>::max(),
+                "RouteTable: topology too large");
+  const auto virtualIndex = [&](const Coord& digit) {
+    std::int64_t v = 0;
+    for (std::size_t d = 0; d < n; ++d) v += digit[d] * vstride[d];
+    return static_cast<std::int32_t>(v);
+  };
+  const auto nodes = static_cast<std::size_t>(topo.numNodes());
+  virtOf_.resize(nodes);
+  for (std::size_t node = 0; node < nodes; ++node) {
+    virtOf_[node] = virtualIndex(topo.coordOf(static_cast<NodeId>(node)));
   }
-  return sparse_[pairKey(src, dst)];
-}
-
-const RouteTable::Slice* RouteTable::findSlice(NodeId src, NodeId dst) const {
-  if (denseIndex_) {
-    return &dense_[static_cast<std::size_t>(
-        static_cast<std::int64_t>(src) * topo_.numNodes() + dst)];
+  for (std::size_t d = 0; d < n; ++d) {
+    center_ += static_cast<std::int32_t>((topo.extent(d) - 1) * vstride[d]);
   }
-  const auto it = sparse_.find(pairKey(src, dst));
-  return it == sparse_.end() ? nullptr : &it->second;
-}
 
-RouteTable::Span RouteTable::get(NodeId src, NodeId dst) {
-  Slice& s = sliceOf(src, dst);
-  if (s.start < 0) {
-    RAHTM_REQUIRE(!complete_, "RouteTable: miss on a complete table");
-    s.start = static_cast<std::int64_t>(channels_.size());
-    forEachUniformMinimalLoad(
-        topo_, topo_.coordOf(src), topo_.coordOf(dst), 1.0,
-        [this](ChannelId c, double frac) {
-          channels_.push_back(c);
-          fracs_.push_back(frac);
-        });
-    s.len = static_cast<std::int64_t>(channels_.size()) - s.start;
-    accountBytes();  // capacity-based: atomics touched only on arena growth
+  // A route entry's node sits at virtual digit (source + rel) per
+  // dimension, where rel is the node's coordinate offset from the class
+  // representative's source: taken modulo k in a wrapping dimension, and
+  // shifted by k-1 in a mesh dimension so that it is never negative.
+  const auto relDigit = [&](std::size_t d, std::int32_t offset) {
+    const std::int32_t k = topo.extent(d);
+    return topo.wraps(d) ? (offset + k) % k : offset + k - 1;
+  };
+  base_.assign(static_cast<std::size_t>(cells), -1);
+  Coord digit(n, 0);
+  for (std::int64_t v = 0; v < cells; ++v, advanceDigits(digit, vext)) {
+    Coord node(n, 0);
+    bool inside = true;
+    for (std::size_t d = 0; d < n; ++d) {
+      const std::int32_t k = topo.extent(d);
+      node[d] = topo.wraps(d) ? digit[d] % k : digit[d] - (k - 1);
+      inside = inside && node[d] >= 0;
+    }
+    if (inside) {
+      base_[static_cast<std::size_t>(v)] =
+          topo.channelId(topo.nodeId(node), 0, Dir::Plus);
+    }
   }
-  return {channels_.data() + s.start, fracs_.data() + s.start,
-          static_cast<std::size_t>(s.len)};
+
+  // One route per offset class. An offset digit is d - s + k - 1; a
+  // wrapping dimension's negative offsets alias offset + k, whose route is
+  // built first and then shared.
+  routeOf_.assign(static_cast<std::size_t>(cells), -1);
+  channelStart_.push_back(0);
+  fracStart_.push_back(0);
+  std::vector<std::int32_t> groupOf(
+      static_cast<std::size_t>(topo.numChannelSlots()), -1);
+  std::vector<ChannelId> channels;  // the route's, in first-appearance order
+  std::vector<std::pair<std::int32_t, double>> entries;  // (group, frac)
+  std::vector<std::uint32_t> next;  // counting-sort cursor per group
+  digit = Coord(n, 0);
+  for (std::int64_t v = 0; v < cells; ++v, advanceDigits(digit, vext)) {
+    Coord src(n, 0);
+    Coord dst(n, 0);
+    bool canonical = true;
+    for (std::size_t d = 0; d < n; ++d) {
+      const std::int32_t offset = digit[d] - (topo.extent(d) - 1);
+      canonical = canonical && (offset >= 0 || !topo.wraps(d));
+      src[d] = offset < 0 ? -offset : 0;
+      dst[d] = src[d] + offset;
+    }
+    if (!canonical) continue;
+    routeOf_[static_cast<std::size_t>(v)] =
+        static_cast<std::int32_t>(fracStart_.size() - 1);
+    channels.clear();
+    entries.clear();
+    forEachUniformMinimalLoad(topo, src, dst, 1.0, [&](ChannelId c, double f) {
+      std::int32_t& group = groupOf[static_cast<std::size_t>(c)];
+      if (group < 0) {
+        group = static_cast<std::int32_t>(channels.size());
+        channels.push_back(c);
+      }
+      entries.emplace_back(group, f);
+    });
+    // Stable counting sort of the fractions by channel.
+    next.assign(channels.size() + 1, 0);
+    for (const auto& e : entries) ++next[static_cast<std::size_t>(e.first) + 1];
+    for (std::size_t k = 0; k < channels.size(); ++k) {
+      next[k + 1] += next[k];
+      const ChannelId c = channels[k];
+      groupOf[static_cast<std::size_t>(c)] = -1;
+      const Torus::ChannelRef ref = topo.channelRef(c);
+      const Coord at = topo.coordOf(ref.node);
+      Coord rel(n, 0);
+      for (std::size_t d = 0; d < n; ++d) rel[d] = relDigit(d, at[d] - src[d]);
+      rel_.push_back(virtualIndex(rel));
+      slot_.push_back(static_cast<std::uint8_t>(
+          ref.dim * 2 + static_cast<std::size_t>(ref.dir)));
+      end_.push_back(next[k + 1]);
+    }
+    const std::size_t first = fracs_.size();
+    fracs_.resize(first + entries.size());
+    for (const auto& [group, f] : entries) {
+      fracs_[first + next[static_cast<std::size_t>(group)]++] = f;
+    }
+    channelStart_.push_back(static_cast<std::int64_t>(rel_.size()));
+    fracStart_.push_back(static_cast<std::int64_t>(fracs_.size()));
+  }
+  digit = Coord(n, 0);
+  for (std::int64_t v = 0; v < cells; ++v, advanceDigits(digit, vext)) {
+    if (routeOf_[static_cast<std::size_t>(v)] >= 0) continue;
+    std::int64_t alias = v;
+    for (std::size_t d = 0; d < n; ++d) {
+      if (topo.wraps(d) && digit[d] < topo.extent(d) - 1) {
+        alias += topo.extent(d) * vstride[d];
+      }
+    }
+    routeOf_[static_cast<std::size_t>(v)] =
+        routeOf_[static_cast<std::size_t>(alias)];
+  }
+
+  // The arenas grew by doubling; the table is immutable from here on.
+  channelStart_.shrink_to_fit();
+  fracStart_.shrink_to_fit();
+  rel_.shrink_to_fit();
+  slot_.shrink_to_fit();
+  end_.shrink_to_fit();
+  fracs_.shrink_to_fit();
+  mem_.set(static_cast<std::int64_t>(
+      (virtOf_.capacity() + routeOf_.capacity() + rel_.capacity()) *
+          sizeof(std::int32_t) +
+      base_.capacity() * sizeof(ChannelId) +
+      (channelStart_.capacity() + fracStart_.capacity()) *
+          sizeof(std::int64_t) +
+      slot_.capacity() * sizeof(std::uint8_t) +
+      end_.capacity() * sizeof(std::uint32_t) +
+      fracs_.capacity() * sizeof(double)));
 }
 
 RouteTable::Span RouteTable::find(NodeId src, NodeId dst) const {
-  const Slice* s = findSlice(src, dst);
-  RAHTM_REQUIRE(s != nullptr && s->start >= 0,
-                "RouteTable::find: route not built (table not complete?)");
-  return {channels_.data() + s->start, fracs_.data() + s->start,
-          static_cast<std::size_t>(s->len)};
-}
-
-void RouteTable::buildAll() {
-  const NodeId n = static_cast<NodeId>(topo_.numNodes());
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) get(s, d);
-  }
-  complete_ = true;
-  accountBytes();
-}
-
-bool RouteTable::fullBuildFeasible(const Torus& topo) {
-  return topo.numNodes() <= kEagerBuildNodeCap;
+  RAHTM_REQUIRE(static_cast<std::size_t>(src) < virtOf_.size() &&
+                    static_cast<std::size_t>(dst) < virtOf_.size(),
+                "RouteTable::find: node out of range");
+  const std::int32_t from = virtOf_[static_cast<std::size_t>(src)];
+  const auto route = static_cast<std::size_t>(routeOf_[static_cast<std::size_t>(
+      center_ + virtOf_[static_cast<std::size_t>(dst)] - from)]);
+  const auto channels = static_cast<std::size_t>(channelStart_[route]);
+  const auto fracs = static_cast<std::size_t>(fracStart_[route]);
+  Span s;
+  s.fracs = fracs_.data() + fracs;
+  s.size = static_cast<std::size_t>(fracStart_[route + 1]) - fracs;
+  s.channels_ = static_cast<std::size_t>(channelStart_[route + 1]) - channels;
+  s.base_ = base_.data() + from;
+  s.rel_ = rel_.data() + channels;
+  s.slot_ = slot_.data() + channels;
+  s.end_ = end_.data() + channels;
+  return s;
 }
 
 std::shared_ptr<const RouteTable> RouteTable::buildFull(const Torus& topo) {
-  auto table = std::make_shared<RouteTable>(topo);
-  table->buildAll();
-  return table;
+  return std::make_shared<const RouteTable>(topo);
+}
+
+std::shared_ptr<const RouteTable> routeTableFor(const Torus& topo,
+                                                ArtifactSource* artifacts) {
+  return artifacts != nullptr ? artifacts->routeTable(topo)
+                              : RouteTable::buildFull(topo);
 }
 
 // ---- DeltaPlacementEval ---------------------------------------------------
@@ -128,15 +210,13 @@ std::shared_ptr<const RouteTable> RouteTable::buildFull(const Torus& topo) {
 DeltaPlacementEval::DeltaPlacementEval(
     const Torus& topo, const CommGraph& graph, std::vector<NodeId> placement,
     Config cfg, std::shared_ptr<const RouteTable> routes,
-    std::shared_ptr<const FlowIncidence> incidence,
-    std::shared_ptr<TieredRouteCache> tieredRoutes)
+    std::shared_ptr<const FlowIncidence> incidence)
     : topo_(&topo),
       graph_(&graph),
       cfg_(cfg),
       placement_(std::move(placement)),
       sharedIncidence_(std::move(incidence)),
-      sharedRoutes_(std::move(routes)),
-      tieredRoutes_(std::move(tieredRoutes)) {
+      routes_(std::move(routes)) {
   if (sharedIncidence_ != nullptr) {
     incidence_ = sharedIncidence_.get();
   } else {
@@ -146,14 +226,11 @@ DeltaPlacementEval::DeltaPlacementEval(
   RAHTM_REQUIRE(
       placement_.size() >= static_cast<std::size_t>(graph.numRanks()),
       "DeltaPlacementEval: placement too small");
-  if (sharedRoutes_ != nullptr) {
-    RAHTM_REQUIRE(sharedRoutes_->complete(),
-                  "DeltaPlacementEval: shared route table must be complete");
-  } else if (tieredRoutes_ != nullptr) {
-    RAHTM_REQUIRE(tieredRoutes_->topology() == topo,
-                  "DeltaPlacementEval: tiered cache serves another topology");
+  if (routes_ != nullptr) {
+    RAHTM_REQUIRE(routes_->topology() == topo,
+                  "DeltaPlacementEval: route table of another topology");
   } else if (cfg_.trackLoads) {
-    ownRoutes_ = std::make_unique<RouteTable>(topo);
+    routes_ = RouteTable::buildFull(topo);
   }
   if (cfg_.trackLoads) {
     const auto slots = static_cast<std::size_t>(topo.numChannelSlots());
@@ -178,16 +255,6 @@ void DeltaPlacementEval::accountBytes() {
   mem_.set(static_cast<std::int64_t>(b));
 }
 
-RouteTable::Span DeltaPlacementEval::route(NodeId src, NodeId dst) {
-  if (sharedRoutes_ != nullptr) return sharedRoutes_->find(src, dst);
-  // Every caller fully consumes one span before asking for the next, so the
-  // tiered copy-out scratch is safe to reuse per lookup.
-  if (tieredRoutes_ != nullptr) {
-    return tieredRoutes_->read(src, dst, tierScratch_);
-  }
-  return ownRoutes_->get(src, dst);
-}
-
 void DeltaPlacementEval::rebuild() {
   pending_ = Pending::None;
   if (cfg_.trackLoads) {
@@ -197,10 +264,11 @@ void DeltaPlacementEval::rebuild() {
       const NodeId v = placement_[static_cast<std::size_t>(f.dst)];
       RAHTM_REQUIRE(u >= 0 && v >= 0, "DeltaPlacementEval: unmapped vertex");
       if (u == v || f.bytes == 0) continue;
-      const RouteTable::Span r = route(u, v);
-      for (std::size_t i = 0; i < r.size; ++i) {
-        loads_[static_cast<std::size_t>(r.channels[i])] += r.fracs[i] * f.bytes;
-      }
+      routes_->find(u, v).forEachChannel(
+          [&](ChannelId c, const double* first, const double* last) {
+            double& load = loads_[static_cast<std::size_t>(c)];
+            load = addFractions(load, first, last, f.bytes);
+          });
     }
     heap_.clear();
     for (std::size_t c = 0; c < loads_.size(); ++c) {
@@ -263,22 +331,17 @@ void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
     const NodeId v1 = nodeAfter(f.dst);
     if (u0 == u1 && v0 == v1) return;
     if (cfg_.trackLoads) {
-      if (u0 != v0) {
-        const RouteTable::Span r = route(u0, v0);
-        for (std::size_t i = 0; i < r.size; ++i) {
-          touchChannel(r.channels[i]);
-          delta_[static_cast<std::size_t>(r.channels[i])] -=
-              r.fracs[i] * f.bytes;
-        }
-      }
-      if (u1 != v1) {
-        const RouteTable::Span r = route(u1, v1);
-        for (std::size_t i = 0; i < r.size; ++i) {
-          touchChannel(r.channels[i]);
-          delta_[static_cast<std::size_t>(r.channels[i])] +=
-              r.fracs[i] * f.bytes;
-        }
-      }
+      // Adding f * -bytes is exactly subtracting f * bytes.
+      const auto apply = [&](NodeId src, NodeId dst, double bytes) {
+        routes_->find(src, dst).forEachChannel(
+            [&](ChannelId c, const double* first, const double* last) {
+              touchChannel(c);
+              double& d = delta_[static_cast<std::size_t>(c)];
+              d = addFractions(d, first, last, bytes);
+            });
+      };
+      if (u0 != v0) apply(u0, v0, -f.bytes);
+      if (u1 != v1) apply(u1, v1, f.bytes);
     }
     if (cfg_.trackHopBytes) {
       hbDelta += f.bytes * static_cast<double>(topo_->distance(u1, v1)) -

@@ -9,14 +9,11 @@
 /// O(#channels); this engine makes both the *probe* (evaluate a candidate)
 /// and the *commit* (adopt it) O(degree of the moved vertices):
 ///
-///  * `RouteTable` — a flat structure-of-arrays route cache: for each
-///    (src,dst) node pair the uniform-minimal path decomposition as a
-///    contiguous (channel[], fraction[]) slice, keyed by the flattened pair
-///    index. Built once per topology; an eagerly built table is immutable
-///    and safe to share read-only across annealing restarts and
-///    exec::ThreadPool workers. Replaces the per-restart
-///    `std::unordered_map` + `std::function` sinks of the former
-///    SwapState/MclEvaluator caches.
+///  * `RouteTable` — the uniform-minimal route of every (src,dst) pair,
+///    stored once per offset class and translated to the source on read
+///    (torus/mesh translation symmetry). Built once per topology, immutable,
+///    and shared read-only across annealing restarts and exec::ThreadPool
+///    workers.
 ///
 ///  * `DeltaPlacementEval` — probe-then-commit evaluation of swap and
 ///    relocation moves. Channel loads live in a dense vector, but their
@@ -41,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/comm_graph.hpp"
@@ -50,80 +46,105 @@
 
 namespace rahtm {
 
-/// Flat per-(src,dst) route cache over a fixed topology. Entries are the
-/// unit-volume uniform-minimal channel fractions in the router's canonical
-/// enumeration order (so accumulating `frac * bytes` reproduces
-/// placementLoads() bit for bit).
+/// Every uniform-minimal route of a torus or mesh, from one route per
+/// offset class.
+///
+/// A route depends only on the per-dimension offset from source to
+/// destination: route(s, d) is route(0, d - s) shifted by s. The table
+/// stores one route per offset class — the offset taken modulo the extent
+/// in a wrapping dimension and signed in a mesh dimension, so at most N
+/// classes on a torus and prod(2k-1) on a mesh — and find() translates the
+/// channel ids by the source node. Memory is O(N), not O(N^2).
+///
+/// A route is the unit-volume output of forEachUniformMinimalLoad(),
+/// grouped by channel: each channel appears once, in first-appearance
+/// order, with its fractions in enumeration order. A route on a 2-ary cube
+/// reports each channel about eight times, so a reader resolves and marks a
+/// channel once instead of per fraction. The fractions are deliberately not
+/// summed: adding them to a channel one at a time, in order
+/// (addFractions()), performs exactly the additions of the enumeration, so
+/// table-based loads are bit-identical to placementLoads(). A pre-summed
+/// fraction regroups the floating-point sum, and ulp-level differences flip
+/// ties in the searches built on these loads.
 class RouteTable {
  public:
+  /// Builds every offset class of \p topo.
   explicit RouteTable(const Torus& topo);
 
   const Torus& topology() const { return topo_; }
 
-  /// Parallel views into the channel / fraction arrays of one route.
-  struct Span {
-    const ChannelId* channels = nullptr;
-    const double* fracs = nullptr;
-    std::size_t size = 0;
+  /// One route, translated to its source.
+  class Span {
+   public:
+    const double* fracs = nullptr;  ///< every fraction, grouped by channel
+    std::size_t size = 0;           ///< number of fractions
+
+    /// Distinct channels of the route.
+    std::size_t channels() const { return channels_; }
+    ChannelId channel(std::size_t k) const { return base_[rel_[k]] + slot_[k]; }
+
+    /// visit(channel, first, last) once per channel, in first-appearance
+    /// order; [first, last) are its fractions in enumeration order.
+    template <typename Visit>
+    void forEachChannel(Visit&& visit) const {
+      std::size_t begin = 0;
+      for (std::size_t k = 0; k < channels_; ++k) {
+        visit(channel(k), fracs + begin, fracs + end_[k]);
+        begin = end_[k];
+      }
+    }
+
+   private:
+    friend class RouteTable;
+    std::size_t channels_ = 0;
+    const ChannelId* base_ = nullptr;     ///< channel bases, at the source
+    const std::int32_t* rel_ = nullptr;   ///< node offset from the source
+    const std::uint8_t* slot_ = nullptr;  ///< dim * 2 + dir
+    const std::uint32_t* end_ = nullptr;  ///< end of each channel's fractions
   };
 
-  /// Route of (src,dst), building it on first use. NOT thread-safe unless
-  /// the table is complete().
-  Span get(NodeId src, NodeId dst);
-
-  /// Read-only lookup on a complete table (thread-safe).
+  /// Route of (src,dst). Thread-safe: takes no lock and allocates nothing.
   Span find(NodeId src, NodeId dst) const;
 
-  /// Eagerly build every (src,dst) route; afterwards the table is
-  /// immutable and find()/get() are safe to call concurrently.
-  void buildAll();
-  bool complete() const { return complete_; }
-
-  /// Whether an eager buildAll() is cheap enough to be worthwhile
-  /// (subproblem cubes: yes; full machines: build lazily per owner).
-  static bool fullBuildFeasible(const Torus& topo);
-
-  /// Convenience: an eagerly built table ready for read-only sharing.
+  /// Convenience: a table ready for read-only sharing.
   static std::shared_ptr<const RouteTable> buildFull(const Torus& topo);
 
-  std::size_t entryCount() const { return channels_.size(); }
+  /// Fractions stored over all offset classes.
+  std::size_t entryCount() const { return fracs_.size(); }
 
-  /// Bytes currently charged to the route_table account for this table.
+  /// Bytes charged to the route_table account for this table.
   std::int64_t footprintBytes() const { return mem_.bytes(); }
 
  private:
-  struct Slice {
-    std::int64_t start = -1;  ///< -1: not built yet
-    std::int64_t len = 0;
-  };
-  Slice& sliceOf(NodeId src, NodeId dst);
-  const Slice* findSlice(NodeId src, NodeId dst) const;
-  /// Recompute the footprint charged to the route_table account (capacity
-  /// based, so it only moves — and only then touches atomics — on growth).
-  void accountBytes();
-
   /// Owned copy: a shared table (artifact cache) must stay valid after the
   /// caller's topology object is gone.
   Torus topo_;
-  bool complete_ = false;
-  /// Dense pair index (src * numNodes + dst) when the topology is small
-  /// enough; hash-map fallback above kDenseIndexNodeCap nodes.
-  bool denseIndex_ = true;
-  std::vector<Slice> dense_;
-  std::unordered_map<std::uint64_t, Slice> sparse_;
-  // Arena (structure of arrays): all routes back to back.
-  std::vector<ChannelId> channels_;
+  // Offsets live in a virtual grid of extent 2k-1 per dimension, wide
+  // enough that neither d - s nor (route node - source) ever wraps, so a
+  // sum of virtual indices is the virtual index of the sum.
+  std::vector<std::int32_t> virtOf_;   ///< virtual index of each node
+  std::int32_t center_ = 0;            ///< virtual index of offset zero
+  std::vector<std::int32_t> routeOf_;  ///< offset class -> route
+  std::vector<ChannelId> base_;        ///< virtual node -> first channel id
+  // Route r owns channels [channelStart_[r], channelStart_[r+1]) and
+  // fractions [fracStart_[r], fracStart_[r+1]) of the arenas below.
+  std::vector<std::int64_t> channelStart_;
+  std::vector<std::int64_t> fracStart_;
+  // Arenas (structure of arrays): every route's channels, then fractions.
+  std::vector<std::int32_t> rel_;
+  std::vector<std::uint8_t> slot_;
+  std::vector<std::uint32_t> end_;  ///< relative to the route's fractions
   std::vector<double> fracs_;
   obs::MemAccount mem_{obs::MemAccountId::RouteTable};
 };
 
-/// Caller-owned copy-out buffer for TieredRouteCache sparse reads (defined
-/// here so consumers of the tiered tier need only the forward declaration).
-/// One per reader thread; reusing it across reads amortizes the allocation.
-struct RouteScratch {
-  std::vector<ChannelId> channels;
-  std::vector<double> fracs;
-};
+/// \p cell plus `f * bytes` for each fraction f in [first, last), added one
+/// at a time in order: the enumeration's own arithmetic for one channel.
+inline double addFractions(double cell, const double* first, const double* last,
+                           double bytes) {
+  for (; first != last; ++first) cell += *first * bytes;
+  return cell;
+}
 
 /// Provider of immutable, shareable per-topology / per-graph artifacts.
 /// The solver phases take a non-owning pointer (null = build locally, the
@@ -131,26 +152,19 @@ struct RouteScratch {
 /// `RouteTable::buildFull` and `buildFlowIncidence` across solves. Returned
 /// objects are complete and read-only, so sharing them across threads is
 /// safe and the consumer's arithmetic is bit-identical to a local build.
-class TieredRouteCache;
-
 class ArtifactSource {
  public:
   virtual ~ArtifactSource() = default;
-  /// A complete (eagerly built) route table for \p topo. Only called when
-  /// RouteTable::fullBuildFeasible(topo); never returns null.
+  /// The route table of \p topo; never returns null.
   virtual std::shared_ptr<const RouteTable> routeTable(const Torus& topo) = 0;
   /// The per-vertex flow incidence of \p graph; never returns null.
   virtual std::shared_ptr<const FlowIncidence> flowIncidence(
       const CommGraph& graph) = 0;
-  /// A tiered route cache whose sparse tier serves \p machine — the scale
-  /// path past fullBuildFeasible(). Null (the default) means the caller
-  /// builds its own tiers; a cross-request cache returns a shared instance
-  /// so sparse working sets survive between solves.
-  virtual std::shared_ptr<TieredRouteCache> routeCache(const Torus& machine) {
-    (void)machine;
-    return nullptr;
-  }
 };
+
+/// The route table of \p topo: from \p artifacts when given, else built.
+std::shared_ptr<const RouteTable> routeTableFor(const Torus& topo,
+                                                ArtifactSource* artifacts);
 
 struct DeltaEvalConfig {
   bool trackLoads = true;      ///< maintain channel loads, MCL, sum-squares
@@ -177,19 +191,14 @@ class DeltaPlacementEval {
     double hopBytes = 0;
   };
 
-  /// \p routes: optional complete table shared read-only (e.g. across
-  /// annealing restarts); the engine builds its own lazy table when null.
+  /// \p routes: the route table of \p topo, shared read-only (e.g. across
+  /// annealing restarts); the engine builds its own when null.
   /// \p incidence: optional pre-built incidence of \p graph's flows over its
   /// vertices, shared read-only; the engine builds its own when null.
-  /// \p tieredRoutes: optional tiered cache whose sparse tier serves \p topo
-  /// — the scale path when no complete table is feasible. Consulted only
-  /// when \p routes is null; routes are copied out per lookup, so results
-  /// stay bit-identical even when the cache evicts and refaults underneath.
   DeltaPlacementEval(const Torus& topo, const CommGraph& graph,
                      std::vector<NodeId> placement, Config cfg = {},
                      std::shared_ptr<const RouteTable> routes = nullptr,
-                     std::shared_ptr<const FlowIncidence> incidence = nullptr,
-                     std::shared_ptr<TieredRouteCache> tieredRoutes = nullptr);
+                     std::shared_ptr<const FlowIncidence> incidence = nullptr);
 
   const Torus& topology() const { return *topo_; }
   const std::vector<NodeId>& placement() const { return placement_; }
@@ -221,7 +230,6 @@ class DeltaPlacementEval {
   std::uint64_t denseSweeps() const { return denseSweeps_; }
 
  private:
-  RouteTable::Span route(NodeId src, NodeId dst);
   void touchChannel(ChannelId c);
   void probeFlows(RankId a, RankId b, NodeId nodeA, NodeId nodeB);
   double maxExcludingTouched();
@@ -240,10 +248,7 @@ class DeltaPlacementEval {
   std::shared_ptr<const FlowIncidence> sharedIncidence_;
   const FlowIncidence* incidence_ = nullptr;  ///< shared or own
 
-  std::shared_ptr<const RouteTable> sharedRoutes_;
-  std::unique_ptr<RouteTable> ownRoutes_;
-  std::shared_ptr<TieredRouteCache> tieredRoutes_;
-  RouteScratch tierScratch_;  ///< copy-out buffer for tiered lookups
+  std::shared_ptr<const RouteTable> routes_;  ///< null unless trackLoads
 
   // Dense loads + lazy-max machinery (trackLoads).
   std::vector<double> loads_;

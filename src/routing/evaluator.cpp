@@ -3,44 +3,20 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm {
 
 MclEvaluator::MclEvaluator(const Torus& topo)
-    : topo_(&topo),
-      ownRoutes_(std::make_unique<RouteTable>(topo)),
-      scratch_(static_cast<std::size_t>(topo.numChannelSlots()), 0.0),
-      mark_(static_cast<std::size_t>(topo.numChannelSlots()), 0) {}
+    : MclEvaluator(topo, RouteTable::buildFull(topo)) {}
 
 MclEvaluator::MclEvaluator(const Torus& topo,
                            std::shared_ptr<const RouteTable> routes)
     : topo_(&topo),
-      sharedRoutes_(std::move(routes)),
+      routes_(std::move(routes)),
       scratch_(static_cast<std::size_t>(topo.numChannelSlots()), 0.0),
       mark_(static_cast<std::size_t>(topo.numChannelSlots()), 0) {
-  RAHTM_REQUIRE(sharedRoutes_ != nullptr && sharedRoutes_->complete(),
-                "MclEvaluator: shared route table must be complete");
-}
-
-MclEvaluator::MclEvaluator(const Torus& topo,
-                           std::shared_ptr<TieredRouteCache> tiered)
-    : topo_(&topo),
-      tieredRoutes_(std::move(tiered)),
-      scratch_(static_cast<std::size_t>(topo.numChannelSlots()), 0.0),
-      mark_(static_cast<std::size_t>(topo.numChannelSlots()), 0) {
-  RAHTM_REQUIRE(tieredRoutes_ != nullptr && tieredRoutes_->topology() == topo,
-                "MclEvaluator: tiered cache serves another topology");
-}
-
-RouteTable::Span MclEvaluator::routeOf(NodeId src, NodeId dst) {
-  if (sharedRoutes_ != nullptr) return sharedRoutes_->find(src, dst);
-  // accumulate() fully consumes each span before the next lookup, so the
-  // tiered copy-out scratch is reused safely.
-  if (tieredRoutes_ != nullptr) {
-    return tieredRoutes_->read(src, dst, tierScratch_);
-  }
-  return ownRoutes_->get(src, dst);
+  RAHTM_REQUIRE(routes_ != nullptr && routes_->topology() == topo,
+                "MclEvaluator: route table of another topology");
 }
 
 void MclEvaluator::accumulate(const CommGraph& graph,
@@ -62,16 +38,16 @@ void MclEvaluator::accumulate(const CommGraph& graph,
     // registering channels in touched_ (the former `cell == 0.0` test
     // pushed such channels once per flow that grazed them).
     if (f.bytes == 0) continue;
-    const RouteTable::Span r = routeOf(u, v);
-    for (std::size_t i = 0; i < r.size; ++i) {
-      const auto idx = static_cast<std::size_t>(r.channels[i]);
-      if (mark_[idx] != epoch_) {
-        mark_[idx] = epoch_;
-        scratch_[idx] = 0;
-        touched_.push_back(r.channels[i]);
-      }
-      scratch_[idx] += r.fracs[i] * f.bytes;
-    }
+    routes_->find(u, v).forEachChannel(
+        [&](ChannelId c, const double* first, const double* last) {
+          const auto idx = static_cast<std::size_t>(c);
+          if (mark_[idx] != epoch_) {
+            mark_[idx] = epoch_;
+            scratch_[idx] = 0;
+            touched_.push_back(c);
+          }
+          scratch_[idx] = addFractions(scratch_[idx], first, last, f.bytes);
+        });
   }
 }
 

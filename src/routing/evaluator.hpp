@@ -4,18 +4,14 @@
 ///
 /// The search-based mappers (exhaustive permutation search, the merge beam)
 /// evaluate many placements of the same communication graph. This evaluator
-/// memoizes routes in a RouteTable — per (src,dst) node pair, the
-/// uniform-minimal path decomposition as a contiguous (channel[], fraction[])
-/// slice — turning each evaluation into a short accumulate-and-max scan.
-/// (The refine/anneal hot loops go further and use
+/// reads routes from a RouteTable, turning each evaluation into a short
+/// accumulate-and-max scan. (The refine/anneal hot loops go further and use
 /// routing/delta_eval.hpp, which shares the same RouteTable.)
 ///
 /// Thread safety: NONE. Every method except hopBytesOf() mutates internal
-/// state (the route table when owned, the scratch load vector, the
-/// touched-channel epoch marks), so an instance must be owned by a single
-/// thread at a time. Parallel searches construct one evaluator per task —
-/// construction is cheap, and a complete shared RouteTable can be passed in
-/// so workers skip even the route-building warm-up.
+/// state (the scratch load vector, the touched-channel epoch marks), so an
+/// instance must be owned by a single thread at a time. Parallel searches
+/// construct one evaluator per task over one shared RouteTable.
 
 #include <cstdint>
 #include <memory>
@@ -29,16 +25,12 @@ namespace rahtm {
 
 class MclEvaluator {
  public:
+  /// Evaluator over its own route table of \p topo.
   explicit MclEvaluator(const Torus& topo);
 
-  /// Evaluator over a complete shared route table (e.g. one built once and
-  /// handed to every exec::ThreadPool worker). No routes are built lazily.
+  /// Evaluator over a shared route table of \p topo (e.g. one built once
+  /// and handed to every exec::ThreadPool worker).
   MclEvaluator(const Torus& topo, std::shared_ptr<const RouteTable> routes);
-
-  /// Evaluator over a tiered cache's sparse global tier — the path when the
-  /// topology is past fullBuildFeasible(). Routes are copied out per lookup
-  /// (bit-identical to a dense build, robust to concurrent eviction).
-  MclEvaluator(const Torus& topo, std::shared_ptr<TieredRouteCache> tiered);
 
   const Torus& topology() const { return *topo_; }
 
@@ -62,18 +54,13 @@ class MclEvaluator {
                     const std::vector<NodeId>& nodeOfVertex) const;
 
  private:
-  RouteTable::Span routeOf(NodeId src, NodeId dst);
-
   /// Accumulate the channel loads of \p graph under \p nodeOfVertex into
   /// scratch_, recording each loaded channel in touched_ exactly once.
   void accumulate(const CommGraph& graph,
                   const std::vector<NodeId>& nodeOfVertex);
 
   const Torus* topo_;
-  std::shared_ptr<const RouteTable> sharedRoutes_;  // complete, read-only
-  std::unique_ptr<RouteTable> ownRoutes_;           // lazily populated
-  std::shared_ptr<TieredRouteCache> tieredRoutes_;  // sparse global tier
-  RouteScratch tierScratch_;  // copy-out buffer for tiered lookups
+  std::shared_ptr<const RouteTable> routes_;
   std::vector<double> scratch_;           // dense channel loads
   std::vector<ChannelId> touched_;        // channels written this eval
   /// Per-channel "was touched this evaluation" stamp. An epoch counter

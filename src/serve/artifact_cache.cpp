@@ -5,7 +5,6 @@
 
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm::serve {
 
@@ -177,22 +176,6 @@ std::shared_ptr<const FlowIncidence> ArtifactCache::flowIncidence(
   return incidence;
 }
 
-std::shared_ptr<TieredRouteCache> ArtifactCache::routeCache(
-    const Torus& machine) {
-  const std::string key = topologyKey(machine);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = routeCaches_.find(key);
-    if (it != routeCaches_.end()) return it->second;
-  }
-  // Build outside mu_ (the constructor registers its own degrade callback
-  // on the global MemRegistry); first insert wins on a race.
-  auto built = std::make_shared<TieredRouteCache>(
-      machine, TieredRouteCache::Config{}, this);
-  std::lock_guard<std::mutex> lock(mu_);
-  return routeCaches_.emplace(key, std::move(built)).first->second;
-}
-
 void ArtifactCache::evictLocked() {
   while (totalBytes_ > cfg_.maxBytes) {
     // Least-recently-used *completed* entry across both tables (a pending
@@ -243,7 +226,6 @@ void ArtifactCache::evictLocked() {
 
 std::int64_t ArtifactCache::dropAll() {
   std::int64_t released = 0;
-  std::vector<std::shared_ptr<TieredRouteCache>> tiered;
   {
     std::lock_guard<std::mutex> lock(mu_);
     released = totalBytes_;
@@ -252,14 +234,7 @@ std::int64_t ArtifactCache::dropAll() {
     routes_.clear();
     incidences_.clear();
     totalBytes_ = 0;
-    tiered.reserve(routeCaches_.size());
-    for (auto& kv : routeCaches_) tiered.push_back(kv.second);
-    routeCaches_.clear();
   }
-  // Shed the tiered caches' sparse working sets outside mu_ (shed() takes
-  // its own shard locks; in-flight solves holding the shared_ptr keep
-  // reading — reads just refault).
-  for (const auto& cache : tiered) released += cache->shed(0);
   noteMetrics();
   return released;
 }

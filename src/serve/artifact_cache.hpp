@@ -2,9 +2,9 @@
 /// \file artifact_cache.hpp
 /// Cross-request cache of the solver's immutable per-topology artifacts.
 ///
-/// The delta engine made the expensive derived state — eagerly built
-/// `RouteTable`s and CSR `FlowIncidence`s — complete-then-immutable, so it
-/// is safe to share read-only across threads. This cache implements
+/// The solver's derived per-topology state — `RouteTable`s and CSR
+/// `FlowIncidence`s — is immutable once built, so it is safe to share
+/// read-only across threads. This cache implements
 /// `ArtifactSource` on top of that discipline: concurrent mapping requests
 /// for the same topology (or the same communication graph) get the same
 /// `shared_ptr<const ...>` instead of rebuilding, and the first request for
@@ -69,7 +69,7 @@ class ArtifactCache final : public ArtifactSource {
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
-  /// ArtifactSource: shared complete route table for \p topo. Blocks while
+  /// ArtifactSource: shared route table for \p topo. Blocks while
   /// another thread builds the same key; builds (once) on a cold key.
   std::shared_ptr<const RouteTable> routeTable(const Torus& topo) override;
 
@@ -77,13 +77,6 @@ class ArtifactCache final : public ArtifactSource {
   /// match; hash collisions are resolved by comparing the flows).
   std::shared_ptr<const FlowIncidence> flowIncidence(
       const CommGraph& graph) override;
-
-  /// ArtifactSource: shared tiered route cache for \p machine, memoized per
-  /// topology fingerprint so concurrent requests for the same machine share
-  /// one sparse working set. The returned cache delegates its dense tier
-  /// back to this ArtifactCache (routeTable()), which keeps cross-request
-  /// sharing, LRU policy, and the gated hit/miss counters in one place.
-  std::shared_ptr<TieredRouteCache> routeCache(const Torus& machine) override;
 
   /// Canonical topology fingerprint, e.g. "4x4x4x2/wwww" ('w' wrap,
   /// '-' no wrap per dimension).
@@ -124,12 +117,6 @@ class ArtifactCache final : public ArtifactSource {
   std::unordered_map<std::string, RouteEntry> routes_;
   /// Content-hash chains: every entry under a hash is compared exactly.
   std::unordered_map<std::uint64_t, std::vector<IncidenceEntry>> incidences_;
-  /// One tiered cache per machine fingerprint (sparse tiers outlive
-  /// individual requests; dense tiers delegate to routes_ above). Their
-  /// sparse bytes self-account, so the LRU tally here ignores them —
-  /// dropAll() sheds them alongside everything else.
-  std::unordered_map<std::string, std::shared_ptr<TieredRouteCache>>
-      routeCaches_;
   ArtifactCacheStats stats_;
 };
 

@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/route_cache.hpp"
 
 namespace rahtm::simnet {
 
@@ -787,15 +786,7 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
 
   const auto nodes = static_cast<std::size_t>(topo.numNodes());
   const auto slots = static_cast<std::size_t>(topo.numChannelSlots());
-  // Route source: the mapper's shared tiered cache when the caller passed
-  // one for this topology (pairs it already touched are free here), else a
-  // private lazy table holding only the pairs that actually communicate.
-  TieredRouteCache* cacheRt =
-      cfg.routeCache != nullptr && cfg.routeCache->topology() == topo
-          ? cfg.routeCache.get()
-          : nullptr;
-  RouteScratch tierScratch;
-  RouteTable routes(topo);  // lazy: only pairs that actually communicate
+  const RouteTable routes(topo);
   std::vector<double> total(slots, 0.0);
   std::vector<double> stage(slots, 0.0);
   std::vector<ChannelId> touched;
@@ -833,14 +824,12 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
       r.networkFlits += flits;
       const std::int32_t dist = topo.distance(srcNode, dstNode);
       r.flitHops += flits * dist;
-      const RouteTable::Span route =
-          cacheRt != nullptr ? cacheRt->read(srcNode, dstNode, tierScratch)
-                             : routes.get(srcNode, dstNode);
-      for (std::size_t k = 0; k < route.size; ++k) {
-        const auto c = static_cast<std::size_t>(route.channels[k]);
-        if (stage[c] == 0.0) touched.push_back(route.channels[k]);
-        stage[c] += route.fracs[k] * static_cast<double>(flits);
-      }
+      routes.find(srcNode, dstNode).forEachChannel(
+          [&](ChannelId id, const double* first, const double* last) {
+            double& load = stage[static_cast<std::size_t>(id)];
+            if (load == 0.0) touched.push_back(id);
+            load = addFractions(load, first, last, static_cast<double>(flits));
+          });
       // Store-and-forward critical path of the message alone: full
       // serialization through the NIC, then the trailing packet crosses
       // dist links at one flit per cycle per link.

@@ -27,10 +27,6 @@
 #include "simnet/message.hpp"
 #include "topology/torus.hpp"
 
-namespace rahtm {
-class TieredRouteCache;  // routing/route_cache.hpp
-}
-
 namespace rahtm::exec {
 class ThreadPool;
 }
@@ -134,11 +130,6 @@ struct SimConfig {
   /// outlive the simulate* call). When null and threads > 1, the simulator
   /// spins up a private pool for the run.
   exec::ThreadPool* pool = nullptr;
-  /// Optional route cache shared with the mapper (flow fidelity only; cycle
-  /// mode routes hop by hop). When set and serving the simulated topology,
-  /// flow mode reads routes from its tiers instead of rebuilding a private
-  /// lazy table per simulate* call — identical route content either way.
-  std::shared_ptr<TieredRouteCache> routeCache;
 };
 
 struct PhaseResult {

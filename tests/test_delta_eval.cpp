@@ -1,12 +1,15 @@
 /// Property tests for the incremental placement-evaluation engine
-/// (routing/delta_eval.hpp): probe/commit consistency against from-scratch
-/// evaluation across randomized move sequences, the relative residue scrub,
-/// the shared route table, and thread-count determinism of the searches
-/// built on the engine.
+/// (routing/delta_eval.hpp): route-table parity with the uniform-minimal
+/// enumeration, probe/commit consistency against from-scratch evaluation
+/// across randomized move sequences, the relative residue scrub, the shared
+/// route table, and thread-count determinism of the searches built on the
+/// engine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -46,25 +49,59 @@ std::vector<NodeId> randomPlacement(std::size_t verts, std::int64_t nodes,
   return perm;
 }
 
-TEST(RouteTable, EagerMatchesLazy) {
-  // Includes a 2-ary torus dimension (double-wide links).
-  const Torus t = Torus::torus({3, 2, 4});
-  RouteTable lazy(t);
-  const auto eager = RouteTable::buildFull(t);
-  ASSERT_TRUE(eager->complete());
-  const auto n = static_cast<NodeId>(t.numNodes());
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      const RouteTable::Span a = lazy.get(s, d);
-      const RouteTable::Span b = eager->find(s, d);
-      ASSERT_EQ(a.size, b.size);
-      for (std::size_t i = 0; i < a.size; ++i) {
-        EXPECT_EQ(a.channels[i], b.channels[i]);
-        EXPECT_EQ(a.fracs[i], b.fracs[i]);
+/// The (channel, fraction) entries of \p r, channel by channel.
+std::vector<std::pair<ChannelId, double>> spanEntries(
+    const RouteTable::Span& r) {
+  std::vector<std::pair<ChannelId, double>> out;
+  r.forEachChannel([&](ChannelId c, const double* first, const double* last) {
+    for (; first != last; ++first) out.emplace_back(c, *first);
+  });
+  return out;
+}
+
+// Translation is exact: every route read from the table equals
+// forEachUniformMinimalLoad's unit-volume enumeration grouped by channel —
+// channels in first-appearance order, each channel's fractions in
+// enumeration order, bit for bit — on torus, mesh, mixed wrap, odd and
+// radix-2 extents, an extent-1 dimension and a long ring.
+TEST(RouteTable, TranslatedRoutesMatchEnumeration) {
+  const std::vector<Torus> topos = {
+      Torus::torus({3, 2, 4}),
+      Torus::mesh({4, 3, 5}),
+      Torus::mixed({4, 4, 2}, {1, 0, 1}),
+      Torus::torus({3, 5, 4}),
+      Torus::torus({2, 2, 2, 2, 2}),
+      Torus::mixed({3, 1, 4}, {1, 1, 0}),
+      Torus::torus({300}),
+  };
+  for (const Torus& t : topos) {
+    const auto table = RouteTable::buildFull(t);
+    const auto n = static_cast<NodeId>(t.numNodes());
+    std::int64_t mismatches = 0;
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId d = 0; d < n; ++d) {
+        // The enumeration, grouped by channel in first-appearance order.
+        std::map<ChannelId, std::size_t> groupOf;
+        std::vector<std::vector<std::pair<ChannelId, double>>> groups;
+        forEachUniformMinimalLoad(
+            t, t.coordOf(s), t.coordOf(d), 1.0, [&](ChannelId c, double f) {
+              const auto [it, fresh] = groupOf.emplace(c, groups.size());
+              if (fresh) groups.emplace_back();
+              groups[it->second].emplace_back(c, f);
+            });
+        std::vector<std::pair<ChannelId, double>> want;
+        for (const auto& g : groups) {
+          want.insert(want.end(), g.begin(), g.end());
+        }
+        const RouteTable::Span got = table->find(s, d);
+        if (spanEntries(got) != want || got.size != want.size() ||
+            got.channels() != groups.size()) {
+          ++mismatches;
+        }
       }
     }
+    EXPECT_EQ(mismatches, 0) << t.describe();
   }
-  EXPECT_EQ(lazy.entryCount(), eager->entryCount());
 }
 
 TEST(DeltaEval, InitialBuildMatchesPlacementLoadsBitExact) {
@@ -255,7 +292,6 @@ TEST(DeltaEval, SharedRouteTableMatchesOwned) {
   const auto verts = static_cast<std::size_t>(t.numNodes());
   const CommGraph g = randomGraph(static_cast<RankId>(verts), 30, rng);
   const auto place = randomPlacement(verts, t.numNodes(), rng);
-  ASSERT_TRUE(RouteTable::fullBuildFeasible(t));
   const auto shared = RouteTable::buildFull(t);
   DeltaPlacementEval own(t, g, place);
   DeltaPlacementEval sharedEval(t, g, place, {}, shared);

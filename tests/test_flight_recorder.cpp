@@ -257,6 +257,7 @@ TEST(Postmortem, ManualDumpMatchesSchema) {
   reg.counter("rahtm.subproblems").add(3);
   FlightRecorder::instance().record(FrEvent::Custom, 7, 9);
   Heartbeats::instance().beat(Pulse::SimplexPivots, 11);
+  Heartbeats::instance().beat(Pulse::MergeCandidates, 5);
   PhaseScope phase("test.postmortem");
 
   const std::string dir = ::testing::TempDir();
@@ -280,6 +281,7 @@ TEST(Postmortem, ManualDumpMatchesSchema) {
   const JsonValue* hb = doc.find("heartbeats");
   ASSERT_NE(hb, nullptr);
   EXPECT_GE(hb->numberOr("simplex_pivots", 0), 11.0);
+  EXPECT_GE(hb->numberOr("merge_candidates", 0), 5.0);
   const JsonValue* rec = doc.find("recorder");
   ASSERT_NE(rec, nullptr);
   EXPECT_GT(rec->numberOr("capacity", 0), 0.0);

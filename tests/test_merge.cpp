@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "core/merge.hpp"
+#include "obs/heartbeat.hpp"
 #include "routing/oblivious.hpp"
 
 namespace rahtm {
@@ -39,6 +40,19 @@ TEST(Merge, PlacesEveryClusterExactlyOnce) {
     EXPECT_GE(n, 0);
     EXPECT_LT(n, region.numNodes());
   }
+}
+
+// Merge beats a heartbeat pulse from its candidate loop, so the watchdog
+// does not read a long root merge as a stall.
+TEST(Merge, AdvancesMergeCandidatesPulse) {
+  const Torus region = Torus::mesh(Shape{2, 2});
+  CommGraph g(4);
+  g.addExchange(0, 2, 5);
+  obs::Heartbeats& hb = obs::Heartbeats::instance();
+  const std::uint64_t before = hb.value(obs::Pulse::MergeCandidates);
+  mergeChildren(region, Shape{1, 2}, Shape{2, 1}, twoBarBlocks(), g,
+                MergeConfig{});
+  EXPECT_GT(hb.value(obs::Pulse::MergeCandidates), before);
 }
 
 TEST(Merge, OrientationSearchFindsTheAlignedFlip) {

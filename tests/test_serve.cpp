@@ -52,7 +52,6 @@ TEST(ArtifactCache, RouteTableSharedAndContentIdentical) {
   const auto first = cache.routeTable(topo);
   const auto second = cache.routeTable(topo);
   EXPECT_EQ(first.get(), second.get());
-  ASSERT_TRUE(first->complete());
 
   const serve::ArtifactCacheStats s = cache.stats();
   EXPECT_EQ(s.routeMisses, 1);
@@ -68,8 +67,11 @@ TEST(ArtifactCache, RouteTableSharedAndContentIdentical) {
       const RouteTable::Span a = first->find(src, dst);
       const RouteTable::Span b = local->find(src, dst);
       ASSERT_EQ(a.size, b.size);
+      ASSERT_EQ(a.channels(), b.channels());
+      for (std::size_t k = 0; k < a.channels(); ++k) {
+        EXPECT_EQ(a.channel(k), b.channel(k));
+      }
       for (std::size_t i = 0; i < a.size; ++i) {
-        EXPECT_EQ(a.channels[i], b.channels[i]);
         EXPECT_EQ(a.fracs[i], b.fracs[i]);
       }
     }
@@ -124,8 +126,8 @@ TEST(ArtifactCache, EvictsLruUnderByteBudget) {
   const auto b = cache.routeTable(t2);
   // Returned artifacts stay valid (shared ownership) even though the index
   // dropped them.
-  EXPECT_TRUE(a->complete());
-  EXPECT_TRUE(b->complete());
+  EXPECT_GT(a->find(0, 1).size, 0u);
+  EXPECT_GT(b->find(0, 1).size, 0u);
   const serve::ArtifactCacheStats s = cache.stats();
   EXPECT_EQ(s.routeMisses, 2);
   EXPECT_GE(s.evictions, 2);

@@ -31,10 +31,8 @@ run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # parallel pipeline paths (the serial suites add nothing under TSan).
 # test_simnet covers the sharded parallel simulator (spin-barrier cycle
 # loop, mailbox handoffs, gang scheduling on a shared pool); test_serve the
-# cross-request artifact cache and the scheduler's concurrent waves;
-# test_route_cache the tiered route cache's sharded sparse tier under
-# concurrent readers racing a concurrent shedder.
-run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_route_cache' \
+# cross-request artifact cache and the scheduler's concurrent waves.
+run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRAHTM_SANITIZE=thread
 
 # Benchmark-regression gate: emit the smoke ledger at the small scale,
@@ -134,13 +132,13 @@ RAHTM_NODES=32 RAHTM_CONC=2 RAHTM_SIM_ITERS=1 \
 "$bench_bin" --validate "$bench_out/BENCH_serve.json"
 "$bench_bin" --baseline "$repo/bench/baseline/BENCH_serve.json" --check
 
-# Route-cache gate: sparse-tier reads must match a complete dense build
-# bit for bit (tier_parity_mismatches / evict_refault_mismatches, baseline
-# 0), and the 512-node paper-scale solve must be invariant under eviction
-# (evict_refault_mapping_mismatches, tier_vs_dense_mcl_mismatches,
-# baseline 0) with its quality (mcl / hop_bytes) and peak_rss_mb gated.
-# Cache traffic counters ride along ungated.
-echo "==== [route-micro] tier parity + 512-node eviction gate"
+# Route-table gate: every route of a 64-node table must match the
+# uniform-minimal enumeration bit for bit
+# (table_parity_mismatches, baseline 0); the 512-node paper-scale solve
+# keeps its quality (mcl / hop_bytes) and peak_rss_mb; and a 5120-node
+# table keeps its entry count and size. The solve's route_table peak and
+# the build time ride along ungated.
+echo "==== [route-micro] table parity + 512-node solve + 5120-node table"
 RAHTM_NODES=32 RAHTM_CONC=2 RAHTM_SIM_ITERS=1 \
   "$bench_bin" --suites route_micro --out "$bench_out"
 "$bench_bin" --validate "$bench_out/BENCH_route_micro.json"
