@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <unordered_map>
 
@@ -75,6 +76,8 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   span.attr("children", static_cast<std::int64_t>(children.size()));
   span.attr("beam_width", static_cast<std::int64_t>(cfg.beamWidth));
   std::int64_t candidatesEvaluated = 0;
+  std::int64_t candidatesScored = 0;
+  RAHTM_REQUIRE(cfg.beamWidth >= 1, "mergeChildren: beam width must be >= 1");
   RAHTM_REQUIRE(!children.empty(), "mergeChildren: no children");
   RAHTM_REQUIRE(childShape.size() == regionTopo.ndims() &&
                     childGrid.size() == regionTopo.ndims(),
@@ -284,6 +287,7 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   };
   // Objective of placing child ci at childPos on top of entry.
   const auto scoreChild = [&](const BeamEntry& entry, std::size_t ci) {
+    ++candidatesScored;
     if (!useLoads) {
       double hb = entry.hopBytes;
       forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
@@ -310,7 +314,21 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   };
   constexpr std::size_t kPinOrient = SIZE_MAX;
 
+  std::vector<NodeId> layout;
+  std::vector<std::size_t> firstOfLayout(orients.size());
+  std::vector<double> layoutScore(orients.size());
   for (const std::size_t ci : order) {
+    // Orientations that put ci's clusters at the same places (all of them,
+    // for a single-cluster child) score alike against any entry, so each
+    // layout is scored once, on its first orientation.
+    {
+      std::map<std::vector<NodeId>, std::size_t> seen;
+      const Coord origin(childShape.size(), 0);
+      for (std::size_t oi = 0; oi < orients.size(); ++oi) {
+        placeChild(ci, orients[oi], origin, layout);
+        firstOfLayout[oi] = seen.emplace(layout, oi).first->second;
+      }
+    }
     std::vector<Candidate> best;  // kept sorted ascending, max beamWidth
     const auto consider = [&](const Candidate& c) {
       ++candidatesEvaluated;
@@ -358,8 +376,12 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         if (entry.slotUsed[slotId]) continue;
         const Coord slot = slotGrid.coordOf(static_cast<NodeId>(slotId));
         for (std::size_t oi = 0; oi < orients.size(); ++oi) {
-          placeChild(ci, orients[oi], slot, childPos);
-          consider({bi, oi, slotId, scoreChild(entry, ci)});
+          const std::size_t first = firstOfLayout[oi];
+          if (first == oi) {
+            placeChild(ci, orients[oi], slot, childPos);
+            layoutScore[oi] = scoreChild(entry, ci);
+          }
+          consider({bi, oi, slotId, layoutScore[first]});
         }
         // Batched liveness: one beat per (entry, slot) keeps the watchdog
         // from reading a long root merge as a stall.
@@ -444,10 +466,12 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     }
   }
   span.attr("candidates", candidatesEvaluated);
+  span.attr("scored", candidatesScored);
   span.attr("objective", result.objective);
   if (obs::MetricsRegistry* reg = obs::metrics()) {
     reg->counter("rahtm.merge.regions").add(1);
     reg->counter("rahtm.merge.candidates").add(candidatesEvaluated);
+    reg->counter("rahtm.merge.scored").add(candidatesScored);
   }
   return result;
 }

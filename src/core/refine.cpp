@@ -221,6 +221,7 @@ RefineResult refineImpl(const Torus& topo, const CommGraph& clusterGraph,
   result.objectiveAfter = hopBytes ? eval.hopBytes() : eval.mcl();
   result.probes = eval.probes();
   result.denseSweeps = eval.denseSweeps();
+  result.maskedSweeps = eval.maskedSweeps();
   std::copy(eval.placement().begin(), eval.placement().begin() +
             static_cast<std::ptrdiff_t>(n), nodeOfCluster.begin());
   return result;
@@ -246,6 +247,8 @@ RefineResult refinePlacement(const Torus& topo, const CommGraph& clusterGraph,
         .add(static_cast<std::int64_t>(result.probes));
     reg->counter("rahtm.refine.dense_sweeps")
         .add(static_cast<std::int64_t>(result.denseSweeps));
+    reg->counter("rahtm.refine.masked_sweeps")
+        .add(static_cast<std::int64_t>(result.maskedSweeps));
   }
   return result;
 }

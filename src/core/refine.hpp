@@ -59,8 +59,9 @@ struct RefineResult {
   double objectiveAfter = 0;
   int swapsApplied = 0;
   int passes = 0;
-  std::uint64_t probes = 0;       ///< candidate swaps evaluated
-  std::uint64_t denseSweeps = 0;  ///< full load-vector sweeps performed
+  std::uint64_t probes = 0;        ///< candidate swaps evaluated
+  std::uint64_t denseSweeps = 0;   ///< from-scratch rebuilds performed
+  std::uint64_t maskedSweeps = 0;  ///< probes that swept for their max
 };
 
 /// Improve \p nodeOfCluster (a placement of clusterGraph's vertices onto

@@ -96,6 +96,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     long iterations = 0;
     std::uint64_t probes = 0;
     std::uint64_t commits = 0;
+    std::uint64_t maskedSweeps = 0;
   };
   std::vector<RestartResult> results(static_cast<std::size_t>(restarts));
 
@@ -181,6 +182,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     }
     out.probes = state.probes();
     out.commits = state.commits();
+    out.maskedSweeps = state.maskedSweeps();
     // Report the best placement under a from-scratch evaluation: the
     // incrementally tracked objective can drift from the exact value by a
     // few ulps over a long move sequence.
@@ -203,6 +205,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     best.iterations += r.iterations;
     best.probes += r.probes;
     best.commits += r.commits;
+    best.maskedSweeps += r.maskedSweeps;
     if (r.objective < best.objective) {
       best.objective = r.objective;
       best.vertexOf = r.placement;
@@ -279,6 +282,8 @@ SubproblemSolution solveSubproblem(const CommGraph& g, const Torus& cube,
           .add(static_cast<std::int64_t>(s.probes));
       reg->counter("rahtm.anneal.commits")
           .add(static_cast<std::int64_t>(s.commits));
+      reg->counter("rahtm.anneal.masked_sweeps")
+          .add(static_cast<std::int64_t>(s.maskedSweeps));
     }
   }
   return s;

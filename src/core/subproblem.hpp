@@ -57,10 +57,12 @@ struct SubproblemSolution {
   /// Method-specific work count (telemetry): B&B nodes for "milp",
   /// placements evaluated for "exhaustive", proposed moves for "anneal".
   long iterations = 0;
-  /// Delta-engine telemetry ("anneal" only): candidate moves evaluated and
-  /// moves committed across all restarts.
+  /// Delta-engine telemetry ("anneal" only): candidate moves evaluated,
+  /// moves committed and probes that swept for their max, across all
+  /// restarts.
   std::uint64_t probes = 0;
   std::uint64_t commits = 0;
+  std::uint64_t maskedSweeps = 0;
 };
 
 /// Objective value of a placement under the oblivious uniform-minimal model

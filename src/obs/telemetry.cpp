@@ -50,8 +50,11 @@ void registerStandardMetrics(MetricsRegistry& registry) {
   registry.counter("rahtm.subproblem.method.anneal");
   registry.counter("rahtm.merge.regions");
   registry.counter("rahtm.merge.candidates");
+  registry.counter("rahtm.merge.scored");
+  registry.counter("rahtm.anneal.masked_sweeps");
   registry.counter("rahtm.refine.passes");
   registry.counter("rahtm.refine.swaps");
+  registry.counter("rahtm.refine.masked_sweeps");
   // Per-phase quality attribution (core/rahtm.cpp recordPhaseQuality).
   for (const char* phase : {"cluster", "pin", "merge", "refine"}) {
     registry.gauge(std::string("rahtm.quality.") + phase + ".mcl");

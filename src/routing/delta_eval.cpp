@@ -238,21 +238,16 @@ DeltaPlacementEval::DeltaPlacementEval(
     peak_.assign(slots, 0.0);
     delta_.assign(slots, 0.0);
     mark_.assign(slots, 0);
+    touched_.reserve(slots);  // a probe touches each channel at most once
   }
   rebuild();
-  accountBytes();
-}
-
-void DeltaPlacementEval::accountBytes() {
-  const std::size_t b =
+  // The footprint is fixed from here on; capacity based like RouteTable's.
+  mem_.set(static_cast<std::int64_t>(
       placement_.capacity() * sizeof(NodeId) +
-      loads_.capacity() * sizeof(double) + peak_.capacity() * sizeof(double) +
-      delta_.capacity() * sizeof(double) +
+      (loads_.capacity() + peak_.capacity() + delta_.capacity()) *
+          sizeof(double) +
       mark_.capacity() * sizeof(std::uint32_t) +
-      (heap_.capacity() + stash_.capacity()) *
-          sizeof(std::pair<double, ChannelId>) +
-      touched_.capacity() * sizeof(ChannelId);
-  mem_.set(static_cast<std::int64_t>(b));
+      touched_.capacity() * sizeof(ChannelId)));
 }
 
 void DeltaPlacementEval::rebuild() {
@@ -270,14 +265,9 @@ void DeltaPlacementEval::rebuild() {
             load = addFractions(load, first, last, f.bytes);
           });
     }
-    heap_.clear();
     for (std::size_t c = 0; c < loads_.size(); ++c) {
       peak_[c] = std::max(peak_[c], std::abs(loads_[c]));
-      if (loads_[c] != 0.0) {
-        heap_.emplace_back(loads_[c], static_cast<ChannelId>(c));
-      }
     }
-    std::make_heap(heap_.begin(), heap_.end());
     sweepStats();
   }
   if (cfg_.trackHopBytes) {
@@ -296,12 +286,32 @@ void DeltaPlacementEval::rebuild() {
 void DeltaPlacementEval::sweepStats() {
   double mx = 0;
   double sq = 0;
-  for (const double v : loads_) {
-    mx = std::max(mx, v);
+  maxChannel_ = kInvalidChannel;
+  for (std::size_t c = 0; c < loads_.size(); ++c) {
+    const double v = loads_[c];
+    if (v > mx) {
+      mx = v;
+      maxChannel_ = static_cast<ChannelId>(c);
+    }
     sq += v * v;
   }
   cur_.mcl = mx;
   cur_.sumSquares = sq;
+}
+
+void DeltaPlacementEval::beginProbe(Pending kind, RankId a, RankId b,
+                                    NodeId node) {
+  ++probes_;
+  pending_ = kind;
+  pendA_ = a;
+  pendB_ = b;
+  pendNode_ = node;
+  touched_.clear();
+  if (cfg_.trackLoads && ++epoch_ == 0) {  // epoch wrap: invalidate marks
+    std::fill(mark_.begin(), mark_.end(), 0);
+    epoch_ = 1;
+  }
+  pendingSummary_ = cur_;
 }
 
 void DeltaPlacementEval::touchChannel(ChannelId c) {
@@ -362,95 +372,54 @@ void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
   if (cfg_.trackHopBytes) {
     pendingSummary_.hopBytes = cur_.hopBytes + hbDelta;
   }
+  if (cfg_.trackLoads) probeLoadStats();
 }
 
-double DeltaPlacementEval::maxExcludingTouched() {
-  stash_.clear();
-  double best = 0;
-  while (!heap_.empty()) {
-    const auto top = heap_.front();
-    const auto idx = static_cast<std::size_t>(top.second);
-    if (loads_[idx] != top.first) {
-      // Stale: the channel moved on since this entry was pushed.
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      continue;
+void DeltaPlacementEval::probeLoadStats() {
+  // Max over the untouched channels: the current MCL while the channel
+  // holding it is untouched, else a sweep that skips the touched ones.
+  double mx = cur_.mcl;
+  ChannelId at = maxChannel_;
+  if (at == kInvalidChannel || mark_[static_cast<std::size_t>(at)] == epoch_) {
+    ++maskedSweeps_;
+    mx = 0;
+    at = kInvalidChannel;
+    for (std::size_t c = 0; c < loads_.size(); ++c) {
+      if (mark_[c] != epoch_ && loads_[c] > mx) {
+        mx = loads_[c];
+        at = static_cast<ChannelId>(c);
+      }
     }
-    if (mark_[idx] == epoch_) {
-      // Valid but touched by the pending probe: set aside, reinsert below.
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      stash_.push_back(top);
-      continue;
+  }
+  double sq = cur_.sumSquares;
+  for (const ChannelId c : touched_) {
+    const auto idx = static_cast<std::size_t>(c);
+    const double oldV = loads_[idx];
+    const double newV = scrubResidue(oldV + delta_[idx], peak_[idx]);
+    if (newV > mx) {
+      mx = newV;
+      at = c;
     }
-    best = top.first;
-    break;
+    sq += newV * newV - oldV * oldV;
   }
-  for (const auto& e : stash_) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end());
-  }
-  return best;
+  pendingSummary_.mcl = mx;
+  pendingSummary_.sumSquares = sq;
+  pendingMaxChannel_ = at;
 }
 
 const DeltaPlacementEval::Summary& DeltaPlacementEval::probeSwap(RankId a,
                                                                  RankId b) {
   RAHTM_REQUIRE(a != b, "probeSwap: identical vertices");
-  ++probes_;
-  pending_ = Pending::Swap;
-  pendA_ = a;
-  pendB_ = b;
-  touched_.clear();
-  if (cfg_.trackLoads && ++epoch_ == 0) {  // epoch wrap: invalidate marks
-    std::fill(mark_.begin(), mark_.end(), 0);
-    epoch_ = 1;
-  }
-  pendingSummary_ = cur_;
+  beginProbe(Pending::Swap, a, b, kInvalidNode);
   probeFlows(a, b, placement_[static_cast<std::size_t>(b)],
              placement_[static_cast<std::size_t>(a)]);
-  if (cfg_.trackLoads) {
-    double mx = maxExcludingTouched();
-    double sq = cur_.sumSquares;
-    for (const ChannelId c : touched_) {
-      const auto idx = static_cast<std::size_t>(c);
-      const double oldV = loads_[idx];
-      const double newV = scrubResidue(oldV + delta_[idx], peak_[idx]);
-      mx = std::max(mx, newV);
-      sq += newV * newV - oldV * oldV;
-    }
-    pendingSummary_.mcl = mx;
-    pendingSummary_.sumSquares = sq;
-  }
   return pendingSummary_;
 }
 
 const DeltaPlacementEval::Summary& DeltaPlacementEval::probeMove(RankId a,
                                                                  NodeId node) {
-  ++probes_;
-  pending_ = Pending::Move;
-  pendA_ = a;
-  pendB_ = kInvalidRank;
-  pendNode_ = node;
-  touched_.clear();
-  if (cfg_.trackLoads && ++epoch_ == 0) {
-    std::fill(mark_.begin(), mark_.end(), 0);
-    epoch_ = 1;
-  }
-  pendingSummary_ = cur_;
+  beginProbe(Pending::Move, a, kInvalidRank, node);
   probeFlows(a, kInvalidRank, node, kInvalidNode);
-  if (cfg_.trackLoads) {
-    double mx = maxExcludingTouched();
-    double sq = cur_.sumSquares;
-    for (const ChannelId c : touched_) {
-      const auto idx = static_cast<std::size_t>(c);
-      const double oldV = loads_[idx];
-      const double newV = scrubResidue(oldV + delta_[idx], peak_[idx]);
-      mx = std::max(mx, newV);
-      sq += newV * newV - oldV * oldV;
-    }
-    pendingSummary_.mcl = mx;
-    pendingSummary_.sumSquares = sq;
-  }
   return pendingSummary_;
 }
 
@@ -463,12 +432,10 @@ void DeltaPlacementEval::commit() {
       // Same arithmetic as the probe: commit is bit-identical by
       // construction.
       const double newV = scrubResidue(oldV + delta_[idx], peak_[idx]);
-      if (newV != oldV) {
-        loads_[idx] = newV;
-        if (newV != 0.0) heapPush(newV, c);
-      }
+      loads_[idx] = newV;
       peak_[idx] = std::max(peak_[idx], std::abs(newV));
     }
+    maxChannel_ = pendingMaxChannel_;
   }
   if (pending_ == Pending::Swap) {
     std::swap(placement_[static_cast<std::size_t>(pendA_)],
@@ -479,31 +446,6 @@ void DeltaPlacementEval::commit() {
   cur_ = pendingSummary_;
   pending_ = Pending::None;
   ++commits_;
-  compactHeapIfNeeded();
-}
-
-void DeltaPlacementEval::heapPush(double value, ChannelId c) {
-  heap_.emplace_back(value, c);
-  std::push_heap(heap_.begin(), heap_.end());
-}
-
-void DeltaPlacementEval::compactHeapIfNeeded() {
-  if (!cfg_.trackLoads) return;
-  accountBytes();  // per commit; capacity based, atomics only on heap growth
-  const std::size_t cap = std::max<std::size_t>(1024, 4 * loads_.size());
-  if (heap_.size() <= cap) return;
-  // Dense sweep: drop every stale entry and resynchronize the running
-  // sum of squares (bounds incremental floating-point drift). Triggered by
-  // a deterministic size threshold, so the search stays reproducible.
-  heap_.clear();
-  for (std::size_t c = 0; c < loads_.size(); ++c) {
-    if (loads_[c] != 0.0) {
-      heap_.emplace_back(loads_[c], static_cast<ChannelId>(c));
-    }
-  }
-  std::make_heap(heap_.begin(), heap_.end());
-  sweepStats();
-  ++denseSweeps_;
 }
 
 }  // namespace rahtm

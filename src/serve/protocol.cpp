@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -59,7 +60,11 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
   req.benchmark = doc.stringOr("benchmark", req.benchmark);
   req.messageBytes = intMember(doc, "bytes", req.messageBytes);
   req.mapper = doc.stringOr("mapper", req.mapper);
-  req.beamWidth = static_cast<int>(intMember(doc, "beam", req.beamWidth));
+  const std::int64_t beam = intMember(doc, "beam", req.beamWidth);
+  if (beam < 1 || beam > std::numeric_limits<int>::max()) {
+    throw ParseError("request member 'beam' must be a positive int");
+  }
+  req.beamWidth = static_cast<int>(beam);
   req.enableMerge = boolMember(doc, "merge", req.enableMerge);
   req.finalRefinement = boolMember(doc, "refine", req.finalRefinement);
   req.leafMilpVerts =

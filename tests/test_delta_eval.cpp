@@ -141,14 +141,10 @@ TEST(DeltaEval, ProbeCommitTracksScratchAcrossSwapSequences) {
       while (b == a) b = static_cast<RankId>(rng.nextBounded(verts));
       const DeltaPlacementEval::Summary probed = eval.probeSwap(a, b);
       eval.commit();
-      // Commit adopts the probe verbatim. The max is bit-stable even across
-      // the deterministic heap compaction (its dense sweep recomputes the
-      // max over exactly the values the probe produced); the running sum of
-      // squares is *resynchronized* by that sweep, so it only tracks the
-      // probe within summation-order rounding.
+      // Commit adopts the probe verbatim: nothing but rebuild() recomputes
+      // the running statistics, so both match bit for bit.
       EXPECT_EQ(eval.mcl(), probed.mcl);
-      EXPECT_NEAR(eval.sumSquares(), probed.sumSquares,
-                  1e-9 * std::max(1.0, probed.sumSquares));
+      EXPECT_EQ(eval.sumSquares(), probed.sumSquares);
       std::swap(place[static_cast<std::size_t>(a)],
                 place[static_cast<std::size_t>(b)]);
       ASSERT_EQ(eval.placement(), place);
@@ -164,6 +160,125 @@ TEST(DeltaEval, ProbeCommitTracksScratchAcrossSwapSequences) {
     }
     EXPECT_DOUBLE_EQ(eval.mcl(), placementMcl(t, g, place));
   }
+}
+
+/// Max over the committed loads, floored at zero like the engine's MCL.
+double maxLoad(const std::vector<double>& loads) {
+  double mx = 0;
+  for (const double v : loads) mx = std::max(mx, v);
+  return mx;
+}
+
+/// Drives \p eval through \p steps random probes, an even mix of swaps and
+/// moves to empty nodes, committing about half of them. Every probe's MCL
+/// must match a from-scratch placementMcl of its candidate placement, and
+/// every commit must adopt its probe bit for bit, with an MCL equal to the
+/// max of the committed loads.
+void checkRandomProbes(const Torus& t, const CommGraph& g,
+                       std::vector<NodeId> place, int steps, Rng& rng,
+                       DeltaPlacementEval& eval) {
+  const auto verts = place.size();
+  std::vector<NodeId> empty;
+  std::vector<char> used(static_cast<std::size_t>(t.numNodes()), 0);
+  for (const NodeId n : place) used[static_cast<std::size_t>(n)] = 1;
+  for (NodeId n = 0; n < t.numNodes(); ++n) {
+    if (!used[static_cast<std::size_t>(n)]) empty.push_back(n);
+  }
+  for (int step = 0; step < steps; ++step) {
+    const auto a = static_cast<RankId>(rng.nextBounded(verts));
+    auto cand = place;
+    DeltaPlacementEval::Summary probed;
+    std::size_t hole = 0;
+    const bool move = !empty.empty() && rng.nextBounded(2) == 0;
+    if (move) {
+      hole = static_cast<std::size_t>(rng.nextBounded(empty.size()));
+      cand[static_cast<std::size_t>(a)] = empty[hole];
+      probed = eval.probeMove(a, empty[hole]);
+    } else {
+      auto b = static_cast<RankId>(rng.nextBounded(verts));
+      while (b == a) b = static_cast<RankId>(rng.nextBounded(verts));
+      std::swap(cand[static_cast<std::size_t>(a)],
+                cand[static_cast<std::size_t>(b)]);
+      probed = eval.probeSwap(a, b);
+    }
+    const double ref = placementMcl(t, g, cand);
+    ASSERT_NEAR(probed.mcl, ref, 1e-9 * std::max(1.0, ref))
+        << t.describe() << " step " << step;
+    if (rng.nextBounded(2) == 0) continue;  // rejected
+    eval.commit();
+    if (move) empty[hole] = place[static_cast<std::size_t>(a)];
+    place = cand;
+    ASSERT_EQ(eval.placement(), place);
+    EXPECT_EQ(eval.mcl(), probed.mcl);
+    EXPECT_EQ(eval.sumSquares(), probed.sumSquares);
+    EXPECT_EQ(eval.mcl(), maxLoad(eval.loads())) << "step " << step;
+  }
+}
+
+// A probe's MCL is the max of its touched channels' new loads and of the
+// untouched loads. The untouched max is the current MCL while the channel
+// holding it is untouched, else a masked sweep. On a 2-ary 5-cube a probe
+// touches most channels, so most probes sweep.
+TEST(DeltaEval, ExactMaxOnTwoAryCubeMostlySweeps) {
+  const Torus t = Torus::torus({2, 2, 2, 2, 2});
+  Rng rng(37);
+  const CommGraph g = randomGraph(28, 6 * 28, rng);
+  const auto place = randomPlacement(28, t.numNodes(), rng);
+  DeltaPlacementEval eval(t, g, place);
+  checkRandomProbes(t, g, place, 400, rng, eval);
+  EXPECT_EQ(eval.probes(), 400u);
+  EXPECT_GT(eval.maskedSweeps(), eval.probes() / 2);
+  EXPECT_LT(eval.maskedSweeps(), eval.probes());
+}
+
+// On a wider torus one heavy pair holds the MCL and a random probe rarely
+// touches its channels, so most probes take the O(1) path.
+TEST(DeltaEval, ExactMaxOnSkewedGraphMostlyFastPath) {
+  const Torus t = Torus::torus({4, 4, 4, 2});
+  Rng rng(41);
+  const auto verts = static_cast<std::size_t>(t.numNodes()) - 8;
+  CommGraph g = randomGraph(static_cast<RankId>(verts), verts, rng);
+  g.addExchange(0, 1, 1e6);
+  const auto place = randomPlacement(verts, t.numNodes(), rng);
+  DeltaPlacementEval eval(t, g, place);
+  checkRandomProbes(t, g, place, 400, rng, eval);
+  EXPECT_GT(eval.maskedSweeps(), 0u);
+  EXPECT_LT(eval.maskedSweeps(), eval.probes() / 2);
+}
+
+// Two channels share the MCL. A probe that lowers the remembered one must
+// sweep and report the other channel's load; once committed, the other
+// channel is remembered and a probe away from it is answered in O(1).
+TEST(DeltaEval, ExactMaxReportsTiedChannelWhenRememberedOneDrops) {
+  const Torus t = Torus::mesh({3, 3});
+  CommGraph g(4);
+  g.addFlow(0, 1, 10);  // (0,0) -> (1,0): one channel
+  g.addFlow(2, 3, 10);  // (0,2) -> (1,2): one channel
+  const std::vector<NodeId> place = {t.nodeId(Coord{0, 0}),
+                                     t.nodeId(Coord{1, 0}),
+                                     t.nodeId(Coord{0, 2}),
+                                     t.nodeId(Coord{1, 2})};
+  DeltaPlacementEval eval(t, g, place);
+  const ChannelId first = t.channelId(place[0], 0, Dir::Plus);
+  const ChannelId second = t.channelId(place[2], 0, Dir::Plus);
+  ASSERT_EQ(eval.loads()[static_cast<std::size_t>(first)], 10.0);
+  ASSERT_EQ(eval.loads()[static_cast<std::size_t>(second)], 10.0);
+  ASSERT_EQ(eval.mcl(), 10.0);
+  // The rebuild remembers the lowest tied channel, `first`. Moving vertex 1
+  // to the diagonal node (1,1) splits flow 0 -> 1 over two paths, so
+  // `first` drops to 5 and every channel the probe touches carries 5.
+  const DeltaPlacementEval::Summary s =
+      eval.probeMove(1, t.nodeId(Coord{1, 1}));
+  EXPECT_EQ(eval.maskedSweeps(), 1u);
+  EXPECT_EQ(s.mcl, 10.0);
+  eval.commit();
+  EXPECT_EQ(eval.loads()[static_cast<std::size_t>(first)], 5.0);
+  EXPECT_EQ(eval.mcl(), eval.loads()[static_cast<std::size_t>(second)]);
+  // `second` now holds the MCL; moving vertex 0 leaves it untouched.
+  const DeltaPlacementEval::Summary back =
+      eval.probeMove(0, t.nodeId(Coord{2, 0}));
+  EXPECT_EQ(eval.maskedSweeps(), 1u);
+  EXPECT_EQ(back.mcl, 10.0);
 }
 
 TEST(DeltaEval, RejectedProbesDoNotMutate) {

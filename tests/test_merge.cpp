@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/merge.hpp"
 #include "obs/heartbeat.hpp"
+#include "obs/metrics.hpp"
 #include "routing/oblivious.hpp"
 
 namespace rahtm {
@@ -221,6 +224,141 @@ TEST(Merge, BeamWidthOneIsGreedy) {
   const auto rw = mergeChildren(region, Shape{1, 1, 1}, Shape{2, 2, 2},
                                 children, g, wide);
   EXPECT_LE(rw.objective, rg.objective + 1e-9);
+}
+
+/// The inputs of one mergeChildren call.
+struct RegionCase {
+  Torus region;
+  Shape childShape;
+  Shape childGrid;
+  std::vector<MergeChild> children;
+  CommGraph graph;
+};
+
+/// Eight single-cluster children of shape 1x1x1 merging into a 2x2x2 torus:
+/// every orientation of a child gives the same layout.
+RegionCase singleClusterRegion() {
+  RegionCase rc{Torus::torus(Shape{2, 2, 2}), Shape{1, 1, 1}, Shape{2, 2, 2},
+                {}, CommGraph(8)};
+  for (int i = 0; i < 8; ++i) {
+    MergeChild c;
+    c.clusters = {i};
+    c.localPos = {Coord{0, 0, 0}};
+    c.slot = rc.region.coordOf((i * 3) % 8);
+    rc.children.push_back(c);
+  }
+  for (RankId a = 0; a < 8; ++a) {
+    rc.graph.addExchange(a, (a + 1) % 8, 10.0 + a);
+    rc.graph.addExchange(a, (a + 3) % 8, 4.0 + 2.0 * a);
+  }
+  return rc;
+}
+
+/// Four 2x2 children merging into a 4x4 torus, each holding two clusters.
+/// Children 0 and 2 hold theirs on the diagonal, which the transposition
+/// maps onto itself: eight orientations, four layouts. Children 1 and 3
+/// hold theirs side by side: eight orientations, eight layouts, two of
+/// which (identity and transposition) keep the first cluster in place.
+RegionCase pairRegion() {
+  RegionCase rc{Torus::torus(Shape{4, 4}), Shape{2, 2}, Shape{2, 2}, {},
+                CommGraph(8)};
+  const std::vector<Coord> slots = {Coord{1, 0}, Coord{0, 0}, Coord{1, 1},
+                                    Coord{0, 1}};
+  for (int i = 0; i < 4; ++i) {
+    MergeChild c;
+    c.clusters = {2 * i, 2 * i + 1};
+    c.localPos = {Coord{0, 0}, i % 2 == 0 ? Coord{1, 1} : Coord{1, 0}};
+    c.slot = slots[static_cast<std::size_t>(i)];
+    rc.children.push_back(c);
+  }
+  for (RankId a = 0; a < 8; ++a) {
+    rc.graph.addExchange(a, (a + 2) % 8, 6.0 + 3.0 * a);
+    rc.graph.addExchange(a, (a + 5) % 8, 9.0 - a);
+  }
+  return rc;
+}
+
+/// What a merge returned, with the merge counters it added.
+struct PinnedMerge {
+  MergeResult result;
+  std::int64_t candidates = 0;
+  std::int64_t scored = 0;
+};
+
+PinnedMerge mergeCounted(const RegionCase& rc) {
+  obs::MetricsRegistry reg;
+  obs::MetricsRegistry* prev = obs::metrics();
+  obs::setMetrics(&reg);
+  PinnedMerge out{mergeChildren(rc.region, rc.childShape, rc.childGrid,
+                                rc.children, rc.graph, MergeConfig{}),
+                  0, 0};
+  obs::setMetrics(prev);
+  out.candidates = reg.counter("rahtm.merge.candidates").value();
+  out.scored = reg.counter("rahtm.merge.scored").value();
+  return out;
+}
+
+std::vector<std::string> describeAll(const std::vector<Orientation>& os) {
+  std::vector<std::string> out;
+  for (const Orientation& o : os) out.push_back(o.describe());
+  return out;
+}
+
+// Orientations that give a child the same layout are scored once per beam
+// entry and slot, and every orientation still enters the beam in order
+// with that score. The merge must return exactly what scoring each
+// orientation on its own returns (values pinned from code that did so).
+TEST(Merge, LayoutSharedScoringMatchesPinnedSingleClusterMerge) {
+  const PinnedMerge m = mergeCounted(singleClusterRegion());
+  EXPECT_EQ(m.result.objective, 15.33333333333333);
+  EXPECT_EQ(m.result.localNode, (std::vector<NodeId>{7, 3, 1, 6, 4, 0, 2, 5}));
+  EXPECT_EQ(describeAll(m.result.orientationOfChild),
+            (std::vector<std::string>{"[+1 +0 +2]", "[+0 +1 +2]", "[+0 +1 +2]",
+                                      "[+2 +1 +0]", "[+0 +1 +2]", "[+1 +0 +2]",
+                                      "[+0 +1 +2]", "[+0 +1 +2]"}));
+  EXPECT_EQ(m.result.slotOfChild,
+            (std::vector<Coord>{Coord{1, 1, 1}, Coord{0, 1, 1}, Coord{0, 0, 1},
+                                Coord{1, 1, 0}, Coord{1, 0, 0}, Coord{0, 0, 0},
+                                Coord{0, 1, 0}, Coord{1, 0, 1}}));
+  EXPECT_EQ(m.candidates, 10304);
+  // All six orientations of a 1x1x1 block share one layout: one score per
+  // (entry, slot) instead of six, plus the pinned lineage's one per child.
+  EXPECT_EQ(m.scored, (10304 - 8) / 6 + 8);
+}
+
+TEST(Merge, LayoutSharedScoringMatchesPinnedPairMerge) {
+  const PinnedMerge m = mergeCounted(pairRegion());
+  EXPECT_EQ(m.result.objective, 30.666666666666664);
+  EXPECT_EQ(m.result.localNode,
+            (std::vector<NodeId>{10, 15, 2, 3, 8, 13, 5, 4}));
+  // Child 0 keeps the transposition although it ties with the identity:
+  // the beam breaks ties by candidate order.
+  EXPECT_EQ(describeAll(m.result.orientationOfChild),
+            (std::vector<std::string>{"[+1 +0]", "[+1 +0]", "[+0 +1]",
+                                      "[-1 -0]"}));
+  EXPECT_EQ(m.result.slotOfChild,
+            (std::vector<Coord>{Coord{1, 1}, Coord{0, 1}, Coord{1, 0},
+                                Coord{0, 0}}));
+  EXPECT_EQ(m.candidates, 2388);
+  // Four scores per (entry, slot) for a diagonal child, eight for a
+  // side-by-side one, where one score per orientation would take 2388.
+  EXPECT_EQ(m.scored, 1472);
+}
+
+// A beam narrower than one entry keeps no candidate; a negative width cast
+// to size_t would never prune. Both are rejected up front.
+TEST(Merge, RejectsBeamWidthBelowOne) {
+  const Torus region = Torus::mesh(Shape{2, 2});
+  CommGraph g(4);
+  g.addExchange(0, 2, 5);
+  for (const int width : {0, -5}) {
+    MergeConfig cfg;
+    cfg.beamWidth = width;
+    EXPECT_THROW(mergeChildren(region, Shape{1, 2}, Shape{2, 1},
+                               twoBarBlocks(), g, cfg),
+                 PreconditionError)
+        << "beam " << width;
+  }
 }
 
 }  // namespace

@@ -350,6 +350,14 @@ TEST(Protocol, MalformedRequestsThrow) {
       serve::parseMapRequestLine(
           R"({"schema":"rahtm.serve.request/v1","machine":"2x2","beam":"x"})"),
       ParseError);
+  // A beam keeps at least one partial merge.
+  for (const char* beam : {"0", "-5", "4294967296"}) {
+    EXPECT_THROW(serve::parseMapRequestLine(
+                     std::string(R"({"schema":"rahtm.serve.request/v1",)") +
+                     R"("machine":"2x2","beam":)" + beam + "}"),
+                 ParseError)
+        << "beam " << beam;
+  }
   EXPECT_THROW(
       serve::parseMapRequestLine(
           R"({"schema":"rahtm.serve.request/v1","machine":"2x2",)"

@@ -31,8 +31,11 @@ run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # parallel pipeline paths (the serial suites add nothing under TSan).
 # test_simnet covers the sharded parallel simulator (spin-barrier cycle
 # loop, mailbox handoffs, gang scheduling on a shared pool); test_serve the
-# cross-request artifact cache and the scheduler's concurrent waves.
-run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve' \
+# cross-request artifact cache and the scheduler's concurrent waves;
+# test_delta_eval annealing restarts on the pool over one shared route
+# table. test_merge is serial today; it rides along so the merge kernel is
+# covered once its candidate scoring moves onto the pool.
+run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_delta_eval|test_merge' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRAHTM_SANITIZE=thread
 
 # Benchmark-regression gate: emit the smoke ledger at the small scale,

@@ -16,6 +16,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -211,7 +212,12 @@ int main(int argc, char** argv) {
     req.benchmark = args.getString("benchmark", "CG");
     req.messageBytes = args.getInt("bytes", 4096);
     req.mapper = args.getString("mapper", "rahtm");
-    req.beamWidth = static_cast<int>(args.getInt("beam", 64));
+    const std::int64_t beam = args.getInt("beam", 64);
+    if (beam < 1 || beam > std::numeric_limits<int>::max()) {
+      std::cerr << "--beam must be a positive int\n";
+      return usage(argv[0]);
+    }
+    req.beamWidth = static_cast<int>(beam);
     req.enableMerge = !args.getBool("no-merge");
     req.finalRefinement = !args.getBool("no-refine");
     // The offline tool defaults to the paper's exact MILP on every leaf
