@@ -1,6 +1,6 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks of the performance-critical kernels:
-/// the oblivious channel-load accumulation, the memoized MCL evaluator, the
+/// the oblivious channel-load accumulation, the exhaustive leaf solve, the
 /// simplex solver, the cycle-level simulator and the orientation machinery.
 /// These are the kernels whose cost determines the §V-B optimization time.
 
@@ -10,7 +10,6 @@
 #include "lp/simplex.hpp"
 #include "mapping/hilbert.hpp"
 #include "mapping/permutation.hpp"
-#include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
 #include "simnet/simulator.hpp"
 #include "topology/orientation.hpp"
@@ -44,20 +43,6 @@ void BM_PlacementMclCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlacementMclCold);
-
-void BM_MclEvaluatorWarm(benchmark::State& state) {
-  const Torus t = Torus::torus(Shape{2, 2, 2});
-  const Workload w = makeCG(8);
-  const CommGraph g = w.commGraph();
-  std::vector<NodeId> place(8);
-  for (NodeId n = 0; n < 8; ++n) place[static_cast<std::size_t>(n)] = n;
-  MclEvaluator evaluator(t);
-  evaluator.mcl(g, place);  // warm the pair cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.mcl(g, place));
-  }
-}
-BENCHMARK(BM_MclEvaluatorWarm);
 
 void BM_ExhaustiveLeafSolve(benchmark::State& state) {
   const Torus cube = Torus::mesh(Shape{2, 2, 2});

@@ -13,17 +13,28 @@
 
 #include <iomanip>
 #include <iostream>
+#include <optional>
 
 #include "bench/experiment.hpp"
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "exec/thread_pool.hpp"
 
 int main(int argc, char** argv) {
-  const auto telemetry = rahtm::bench::telemetryFromCli(argc, argv);
   using namespace rahtm;
   using namespace rahtm::bench;
+  std::optional<CliArgs> parsed;
+  try {
+    parsed.emplace(argc, argv,
+                   std::vector<std::string>{"threads", "trace-out",
+                                            "trace-summary", "metrics-out"});
+  } catch (const ParseError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+  const CliArgs& args = *parsed;
+  const auto telemetry = telemetryFromCli(argc, argv);
   const ExperimentScale scale = ExperimentScale::fromEnv();
-  const CliArgs args(argc, argv);
   const int threads = exec::ThreadPool::resolveThreads(
       static_cast<int>(args.getInt("threads", exec::threadsFromEnv())));
 

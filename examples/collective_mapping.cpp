@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace rahtm;
   try {
-    const CliArgs args(argc, argv);
+    const CliArgs args(argc, argv, {"nodes", "concentration", "bytes"});
     const std::int64_t nodes = args.getInt("nodes", 32);
     const int concentration = static_cast<int>(args.getInt("concentration", 2));
     const std::int64_t bytes = args.getInt("bytes", 8192);

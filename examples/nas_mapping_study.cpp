@@ -29,7 +29,8 @@
 int main(int argc, char** argv) {
   using namespace rahtm;
   try {
-    const CliArgs args(argc, argv);
+    const CliArgs args(argc, argv,
+                       {"benchmark", "nodes", "concentration", "bytes"});
     const std::string bench = args.getString("benchmark", "CG");
     const std::int64_t nodes = args.getInt("nodes", 32);
     const int concentration =

@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace rahtm;
   try {
-    const CliArgs args(argc, argv);
+    const CliArgs args(argc, argv, {"verbose", "benchmark", "ranks", "out"});
     if (args.getBool("verbose")) setLogLevel(LogLevel::Info);
     const std::string bench = args.getString("benchmark", "CG");
     const auto ranks = static_cast<RankId>(args.getInt("ranks", 256));

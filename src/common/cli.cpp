@@ -1,11 +1,14 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace rahtm {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 const std::vector<std::string>& known) {
   program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -16,12 +19,16 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     const std::string body = arg.substr(2);
     if (body.empty()) throw ParseError("bare '--' is not a valid flag");
     const std::size_t eq = body.find('=');
+    const std::string name = body.substr(0, eq);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw ParseError("unknown flag --" + name);
+    }
     if (eq != std::string::npos) {
-      flags_[body.substr(0, eq)] = body.substr(eq + 1);
+      flags_[name] = body.substr(eq + 1);
     } else if (i + 1 < argc && !startsWith(argv[i + 1], "--")) {
-      flags_[body] = argv[++i];
+      flags_[name] = argv[++i];
     } else {
-      flags_[body] = "true";  // boolean switch
+      flags_[name] = "true";  // boolean switch
     }
   }
 }

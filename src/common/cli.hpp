@@ -2,7 +2,8 @@
 /// \file cli.hpp
 /// A tiny flag parser for the example and benchmark executables.
 /// Flags take the forms `--name value` or `--name=value`; bare `--name`
-/// is a boolean switch.
+/// is a boolean switch. Each caller names the flags it accepts, so a
+/// misspelled flag is an error instead of a silently ignored setting.
 
 #include <cstdint>
 #include <map>
@@ -13,8 +14,11 @@ namespace rahtm {
 
 class CliArgs {
  public:
-  /// Parses argv; throws ParseError on malformed flags.
-  CliArgs(int argc, const char* const* argv);
+  /// Parses argv, accepting the flags named in \p known (without the
+  /// leading "--"); throws ParseError on a malformed flag or one not in
+  /// \p known.
+  CliArgs(int argc, const char* const* argv,
+          const std::vector<std::string>& known);
 
   bool has(const std::string& name) const;
 

@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/oblivious.hpp"
 
 namespace rahtm {
 
@@ -178,10 +177,15 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     }
   };
 
+  const bool useLoads = cfg.objective == MapObjective::Mcl;
+  const std::shared_ptr<const RouteTable> routes =
+      useLoads ? routeTableFor(regionTopo, cfg.artifacts) : nullptr;
+
   // ---- Merge order: decreasing average pairwise interaction --------------
   // Interaction(i,j): objective of just the i<->j flows with both children
   // at their pinned slots, identity orientation (a cheap proxy for the
-  // paper's pairwise-best MCL table).
+  // paper's pairwise-best MCL table). Under Mcl each flow contributes the
+  // largest load it puts on any one channel.
   std::vector<double> avgInteraction(children.size(), 0.0);
   {
     const Orientation ident = Orientation::identity(childShape.size());
@@ -202,15 +206,17 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       const std::size_t ca = childOfCluster[f.a];
       const std::size_t cb = childOfCluster[f.b];
       if (ca == cb) continue;
-      ChannelLoadMap pairLoads(regionTopo);
-      accumulateUniformMinimal(regionTopo,
-                               regionTopo.coordOf(clusterNode[f.a]),
-                               regionTopo.coordOf(clusterNode[f.b]), f.bytes,
-                               pairLoads);
-      const double v = cfg.objective == MapObjective::Mcl
-                           ? pairLoads.maxLoad()
-                           : f.bytes * regionTopo.distance(clusterNode[f.a],
-                                                           clusterNode[f.b]);
+      const NodeId na = clusterNode[f.a];
+      const NodeId nb = clusterNode[f.b];
+      double v = 0;
+      if (useLoads) {
+        routes->find(na, nb).forEachChannel(
+            [&](ChannelId, const double* first, const double* last) {
+              v = std::max(v, addFractions(0, first, last, f.bytes));
+            });
+      } else {
+        v = f.bytes * regionTopo.distance(na, nb);
+      }
       pairVol[ca][cb] += v;
       pairVol[cb][ca] += v;
     }
@@ -234,7 +240,6 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
 
   // ---- Beam search --------------------------------------------------------
   const std::size_t slotCount = static_cast<std::size_t>(slotGrid.numNodes());
-  const bool useLoads = cfg.objective == MapObjective::Mcl;
   const auto loadSlots = static_cast<std::size_t>(regionTopo.numChannelSlots());
 
   BeamEntry seed;
@@ -252,8 +257,6 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   std::size_t pinnedLineage = 0;
 
   LoadDelta delta(regionTopo.numChannelSlots());
-  const std::shared_ptr<const RouteTable> routes =
-      useLoads ? routeTableFor(regionTopo, cfg.artifacts) : nullptr;
   std::vector<NodeId> childPos;
 
   // Visit (na, nb, bytes) for every flow of child ci that connects two
@@ -348,27 +351,23 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     const std::size_t pinnedSlot =
         static_cast<std::size_t>(slotGrid.nodeId(children[ci].slot));
 
-    // Slots considered for this child: the pin plus (when repositioning is
-    // on) its nearest maxRepositionSlots neighbours in the slot grid.
-    std::vector<std::size_t> slotChoices{pinnedSlot};
-    if (cfg.allowRepositioning) {
-      std::vector<std::size_t> others;
-      for (std::size_t s = 0; s < slotCount; ++s) {
-        if (s != pinnedSlot) others.push_back(s);
-      }
-      std::stable_sort(others.begin(), others.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return slotGrid.distance(static_cast<NodeId>(a),
-                                                  static_cast<NodeId>(pinnedSlot)) <
-                                slotGrid.distance(static_cast<NodeId>(b),
-                                                  static_cast<NodeId>(pinnedSlot));
-                       });
-      const auto keep = std::min<std::size_t>(
-          others.size(), static_cast<std::size_t>(
-                             std::max(0, cfg.maxRepositionSlots)));
-      slotChoices.insert(slotChoices.end(), others.begin(),
-                         others.begin() + static_cast<long>(keep));
+    // Slots considered for this child: the pin plus its nearest
+    // maxRepositionSlots neighbours in the slot grid.
+    std::vector<std::size_t> slotChoices;
+    for (std::size_t s = 0; s < slotCount; ++s) {
+      if (s != pinnedSlot) slotChoices.push_back(s);
     }
+    std::stable_sort(slotChoices.begin(), slotChoices.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return slotGrid.distance(static_cast<NodeId>(a),
+                                                static_cast<NodeId>(pinnedSlot)) <
+                              slotGrid.distance(static_cast<NodeId>(b),
+                                                static_cast<NodeId>(pinnedSlot));
+                     });
+    slotChoices.resize(std::min<std::size_t>(
+        slotChoices.size(),
+        static_cast<std::size_t>(std::max(0, cfg.maxRepositionSlots))));
+    slotChoices.insert(slotChoices.begin(), pinnedSlot);
 
     for (std::size_t bi = 0; bi < beam.size(); ++bi) {
       const BeamEntry& entry = beam[bi];

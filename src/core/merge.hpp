@@ -9,8 +9,9 @@
 /// interaction; at each step every orientation of the incoming block (its
 /// full signed-permutation symmetry group) is evaluated against each
 /// retained partial merge, and the best N combinations survive (beam
-/// search, N = 64 in the paper). Optionally the incoming block may also be
-/// *repositioned* onto any free slot.
+/// search, N = 64 in the paper). The incoming block may also be
+/// *repositioned* onto a free slot near its pin
+/// (MergeConfig::maxRepositionSlots).
 
 #include <vector>
 
@@ -38,13 +39,12 @@ struct MergeChild {
 
 struct MergeConfig {
   int beamWidth = 64;             ///< N of §III-D
-  /// Search free slots as well as orientations — the paper's second degree
-  /// of freedom ("rotation and repositioning", §III-A). Costs a factor of
-  /// (considered slots) per candidate but recovers from coarse phase-2 pins.
-  bool allowRepositioning = true;
-  /// Cap on alternative slots considered per child when repositioning: the
-  /// pinned slot plus its nearest maxRepositionSlots neighbours in the slot
-  /// grid. Bounds the candidate explosion on large hierarchy nodes.
+  /// Free slots searched per child besides its pinned one: the nearest
+  /// maxRepositionSlots neighbours in the slot grid. Repositioning is the
+  /// paper's second degree of freedom ("rotation and repositioning",
+  /// §III-A); it costs a factor of (considered slots) per candidate but
+  /// recovers from coarse phase-2 pins, and the cap bounds the candidate
+  /// explosion on large hierarchy nodes. 0 keeps every child at its pin.
   int maxRepositionSlots = 7;
   long maxOrientations = 1024;    ///< deterministic subsample cap
   MapObjective objective = MapObjective::Mcl;

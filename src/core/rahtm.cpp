@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
 
 namespace rahtm {
@@ -187,7 +186,7 @@ struct Pipeline {
     if (!cfg.enableMerge) {
       mcfg.beamWidth = 1;
       mcfg.maxOrientations = 1;  // identity only: phase-2 pins are final
-      mcfg.allowRepositioning = false;
+      mcfg.maxRepositionSlots = 0;
     }
     const Torus region = regionTopology(k);
     const MergeResult res = mergeChildren(
@@ -371,18 +370,13 @@ Mapping RahtmMapper::map(const CommGraph& graph, const Torus& topo,
     stats_.refineSwaps = rr.swapsApplied;
     stats_.rootObjective = rr.objectiveAfter;
     if (config_.canonicalSeed) {
-      // Lexicographic comparison under the active objective.
-      bool canonicalWins;
-      if (rcfg.objective == MapObjective::Mcl) {
-        MclEvaluator evaluator(topo, routeTableFor(topo, config_.artifacts));
-        const auto sm = evaluator.summarize(clusterGraph, nodeOfCluster);
-        const auto sc = evaluator.summarize(clusterGraph, canonical);
-        canonicalWins = sc.mcl < sm.mcl - 1e-12 ||
-                        (sc.mcl < sm.mcl + 1e-12 &&
-                         sc.sumSquares < sm.sumSquares * (1 - 1e-9));
-      } else {
-        canonicalWins = rc.objectiveAfter < rr.objectiveAfter - 1e-12;
-      }
+      // Lexicographic comparison under the active objective, on the exact
+      // statistics of each refinement's final rebuild.
+      const bool canonicalWins =
+          rc.objectiveAfter < rr.objectiveAfter - 1e-12 ||
+          (rcfg.objective == MapObjective::Mcl &&
+           rc.objectiveAfter < rr.objectiveAfter + 1e-12 &&
+           rc.sumSquaresAfter < rr.sumSquaresAfter * (1 - 1e-9));
       if (canonicalWins) {
         nodeOfCluster = std::move(canonical);
         stats_.rootObjective = rc.objectiveAfter;

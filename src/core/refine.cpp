@@ -13,6 +13,13 @@ namespace rahtm {
 
 namespace {
 
+/// Vertex count at which RefineCandidates::Auto switches from AllPairs to
+/// Pruned. At 128 vertices (bench_scaling's 1024-rank/128-node point)
+/// Pruned reaches the same final objective as AllPairs in ~60% of the time;
+/// at 512 vertices the exhaustive n^2/2 scan costs minutes per mapping even
+/// with delta-evaluated probes.
+constexpr std::size_t kAutoPruneThreshold = 96;
+
 /// Flat CSR adjacency of topology nodes (one step along any dimension).
 struct NodeAdjacency {
   std::vector<std::size_t> offsets;
@@ -106,8 +113,7 @@ RefineResult refineImpl(const Torus& topo, const CommGraph& clusterGraph,
 
   const bool pruned =
       cfg.candidates == RefineCandidates::Pruned ||
-      (cfg.candidates == RefineCandidates::Auto &&
-       n >= static_cast<std::size_t>(cfg.autoPruneThreshold));
+      (cfg.candidates == RefineCandidates::Auto && n >= kAutoPruneThreshold);
 
   if (!pruned) {
     for (int pass = 0; pass < cfg.maxPasses; ++pass) {
@@ -219,6 +225,7 @@ RefineResult refineImpl(const Torus& topo, const CommGraph& clusterGraph,
   // (bit-identical to a from-scratch placementLoads()/hopBytes()).
   eval.rebuild();
   result.objectiveAfter = hopBytes ? eval.hopBytes() : eval.mcl();
+  result.sumSquaresAfter = eval.sumSquares();
   result.probes = eval.probes();
   result.denseSweeps = eval.denseSweeps();
   result.maskedSweeps = eval.maskedSweeps();

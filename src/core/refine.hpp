@@ -9,7 +9,8 @@
 /// metric until a sweep finds nothing (or the pass budget is exhausted).
 /// Candidate evaluation is delta-based (routing/delta_eval.hpp): a probe
 /// touches only the channels of flows incident to the swapped vertices, and
-/// a rejected probe never sweeps the dense load vector.
+/// sweeps the dense load vector (once, masked) only when it touches the
+/// channel that holds the current maximum.
 ///
 /// This is an extension beyond the paper's three phases (the paper's §VI
 /// mentions pursuing techniques to improve quality/cost); it is enabled by
@@ -27,8 +28,7 @@ namespace rahtm {
 
 /// Which swap pairs a refinement pass examines.
 enum class RefineCandidates {
-  /// AllPairs below RefineConfig::autoPruneThreshold vertices, Pruned at or
-  /// above it.
+  /// AllPairs below 96 vertices, Pruned at or above (see refine.cpp).
   Auto,
   /// Every unordered pair (a,b) — exhaustive n^2/2 scan per pass.
   AllPairs,
@@ -43,12 +43,6 @@ struct RefineConfig {
   int maxPasses = 30;        ///< full sweeps over the candidate pairs
   MapObjective objective = MapObjective::Mcl;
   RefineCandidates candidates = RefineCandidates::Auto;
-  /// Vertex count at which Auto switches from AllPairs to Pruned. At 128
-  /// vertices (bench_scaling's 1024-rank/128-node point) Pruned reaches the
-  /// same final objective as AllPairs in ~60% of the time; at 512 vertices
-  /// the exhaustive n^2/2 scan costs minutes per mapping even with
-  /// delta-evaluated probes.
-  int autoPruneThreshold = 96;
   /// Optional provider of shared route tables / flow incidences (non-owning;
   /// must outlive the call). Null = build artifacts locally.
   ArtifactSource* artifacts = nullptr;
@@ -57,6 +51,9 @@ struct RefineConfig {
 struct RefineResult {
   double objectiveBefore = 0;
   double objectiveAfter = 0;
+  /// Sum of squared channel loads of the final placement (Mcl objective):
+  /// the tie-breaker when two refined placements share an MCL.
+  double sumSquaresAfter = 0;
   int swapsApplied = 0;
   int passes = 0;
   std::uint64_t probes = 0;        ///< candidate swaps evaluated

@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
 
 namespace rahtm {
@@ -43,15 +42,18 @@ SubproblemSolution exhaustiveSearch(const CommGraph& g, const Torus& cube,
   SubproblemSolution best;
   best.method = "exhaustive";
   best.objective = std::numeric_limits<double>::infinity();
-  MclEvaluator evaluator(cube);
-  std::vector<NodeId> placement(verts);
+  DeltaEvalConfig ecfg;
+  ecfg.trackLoads = obj == MapObjective::Mcl;
+  ecfg.trackHopBytes = obj == MapObjective::HopBytes;
+  // Vertex v sits at nodesPerm[v]; extra nodes stay empty.
+  std::vector<NodeId> placement(nodesPerm.begin(),
+                                nodesPerm.begin() + static_cast<long>(verts));
+  DeltaPlacementEval eval(cube, g, placement, ecfg);
   do {
-    // Vertex v sits at nodesPerm[v]; extra nodes stay empty.
     std::copy(nodesPerm.begin(), nodesPerm.begin() + static_cast<long>(verts),
               placement.begin());
-    const double val = obj == MapObjective::Mcl
-                           ? evaluator.mcl(g, placement)
-                           : evaluator.hopBytesOf(g, placement);
+    eval.reset(placement);
+    const double val = ecfg.trackLoads ? eval.mcl() : eval.hopBytes();
     if (val < best.objective) {
       best.objective = val;
       best.vertexOf = placement;

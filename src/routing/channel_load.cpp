@@ -22,30 +22,12 @@ double ChannelLoadMap::load(ChannelId c) const {
   return loads_[static_cast<std::size_t>(c)];
 }
 
-void ChannelLoadMap::addMap(const ChannelLoadMap& other) {
-  RAHTM_REQUIRE(loads_.size() == other.loads_.size(),
-                "ChannelLoadMap::addMap: topology mismatch");
-  for (std::size_t i = 0; i < loads_.size(); ++i) loads_[i] += other.loads_[i];
-}
-
-void ChannelLoadMap::subtractMap(const ChannelLoadMap& other) {
-  RAHTM_REQUIRE(loads_.size() == other.loads_.size(),
-                "ChannelLoadMap::subtractMap: topology mismatch");
-  for (std::size_t i = 0; i < loads_.size(); ++i) loads_[i] -= other.loads_[i];
-}
-
 void ChannelLoadMap::clear() { std::fill(loads_.begin(), loads_.end(), 0.0); }
 
 double ChannelLoadMap::maxLoad() const {
   double mx = 0;
   for (const double v : loads_) mx = std::max(mx, v);
   return mx;
-}
-
-double ChannelLoadMap::meanLoad() const {
-  const std::int64_t n = topo_->numChannels();
-  if (n == 0) return 0;
-  return totalLoad() / static_cast<double>(n);
 }
 
 double ChannelLoadMap::totalLoad() const {

@@ -19,17 +19,10 @@ class ChannelLoadMap {
 
   void add(ChannelId c, double load);
   double load(ChannelId c) const;
-
-  /// Element-wise accumulate another map over the same topology.
-  void addMap(const ChannelLoadMap& other);
-  /// Element-wise subtract (used for incremental merge evaluation).
-  void subtractMap(const ChannelLoadMap& other);
   void clear();
 
   /// Maximum channel load across all channels.
   double maxLoad() const;
-  /// Mean load over *valid* channels.
-  double meanLoad() const;
   /// Sum of all channel loads (== Σ_flows volume · mean hops).
   double totalLoad() const;
 

@@ -283,6 +283,13 @@ void DeltaPlacementEval::rebuild() {
   ++denseSweeps_;
 }
 
+void DeltaPlacementEval::reset(const std::vector<NodeId>& placement) {
+  RAHTM_REQUIRE(placement.size() == placement_.size(),
+                "DeltaPlacementEval::reset: placement size changed");
+  placement_ = placement;  // same size: reuses the storage
+  rebuild();
+}
+
 void DeltaPlacementEval::sweepStats() {
   double mx = 0;
   double sq = 0;

@@ -220,6 +220,11 @@ class DeltaPlacementEval {
   /// resulting loads are bit-identical to placementLoads().
   void rebuild();
 
+  /// Replace the placement with \p placement (same size) and rebuild():
+  /// whole-placement evaluation, e.g. per permutation of an exhaustive
+  /// search.
+  void reset(const std::vector<NodeId>& placement);
+
   /// Debug/test view of the dense channel loads (trackLoads only).
   const std::vector<double>& loads() const { return loads_; }
 

@@ -30,8 +30,8 @@ void accumulateUniformMinimal(const Torus& topo, const Coord& src,
                               ChannelLoadMap& loads);
 
 /// Same computation, but delivering each (channel, load) contribution to a
-/// callback instead of a dense map — the merge phase uses this for sparse
-/// incremental evaluation. A channel may be reported more than once.
+/// callback instead of a dense map — RouteTable builds its routes from it.
+/// A channel may be reported more than once.
 void forEachUniformMinimalLoad(
     const Torus& topo, const Coord& src, const Coord& dst, double volume,
     const std::function<void(ChannelId, double)>& sink);

@@ -219,7 +219,7 @@ TEST(Strings, ParseNumbers) {
 TEST(Cli, ParsesFlagsAndPositionals) {
   const char* argv[] = {"prog",   "--alpha", "3",    "--name=bt",
                         "file1",  "--flag",  "--x", "2.5"};
-  CliArgs args(8, argv);
+  CliArgs args(8, argv, {"alpha", "name", "flag", "x", "missing", "absent"});
   EXPECT_EQ(args.getInt("alpha", 0), 3);
   EXPECT_EQ(args.getString("name", ""), "bt");
   EXPECT_TRUE(args.getBool("flag"));
@@ -232,8 +232,26 @@ TEST(Cli, ParsesFlagsAndPositionals) {
 
 TEST(Cli, MalformedBooleanThrows) {
   const char* argv[] = {"prog", "--b=banana"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"b"});
   EXPECT_THROW(args.getBool("b"), ParseError);
+}
+
+TEST(Cli, UnknownFlagThrowsNamingIt) {
+  const std::vector<std::string> known{"machine", "concentration"};
+  for (const char* bad : {"--concentraton", "--concentraton=2"}) {
+    const char* argv[] = {"prog", "--machine", "2x2x2", bad, "2"};
+    try {
+      CliArgs args(5, argv, known);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("--concentraton"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const char* argv[] = {"prog", "--machine=2x2x2", "--concentration", "2"};
+  const CliArgs args(4, argv, known);
+  EXPECT_EQ(args.getInt("concentration", 1), 2);
 }
 
 // Compile-level check that RAHTM_LOG expands to a single complete

@@ -19,7 +19,6 @@
 #include "graph/comm_graph.hpp"
 #include "graph/stats.hpp"
 #include "routing/delta_eval.hpp"
-#include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
 #include "topology/torus.hpp"
 
@@ -117,6 +116,49 @@ TEST(DeltaEval, InitialBuildMatchesPlacementLoadsBitExact) {
     EXPECT_EQ(eval.loads()[c], ref.raw()[c]) << "channel " << c;
   }
   EXPECT_DOUBLE_EQ(eval.mcl(), placementMcl(t, g, place));
+}
+
+// reset() evaluates a whole placement from scratch, as exhaustive search
+// does once per permutation: over many placements on one engine, the loads
+// match placementLoads() and hop-bytes match hopBytes() bit for bit.
+TEST(DeltaEval, ResetMatchesPlacementLoadsBitExact) {
+  const Torus t = Torus::mesh({2, 2, 2});
+  Rng rng(77);
+  const auto verts = static_cast<std::size_t>(t.numNodes());
+  const CommGraph g = randomGraph(static_cast<RankId>(verts), 3 * verts, rng);
+  DeltaEvalConfig cfg;
+  cfg.trackHopBytes = true;
+  auto place = randomPlacement(verts, t.numNodes(), rng);
+  DeltaPlacementEval eval(t, g, place, cfg);
+  for (int trial = 0; trial < 50; ++trial) {
+    rng.shuffle(place);
+    eval.reset(place);
+    EXPECT_EQ(eval.placement(), place);
+    EXPECT_EQ(eval.loads(), placementLoads(t, g, place).raw())
+        << "trial " << trial;
+    EXPECT_EQ(eval.mcl(), placementMcl(t, g, place));
+    EXPECT_EQ(eval.hopBytes(), hopBytes(g, t, place));
+  }
+}
+
+// A flow whose split fractions underflow to zero (a denormal volume on a
+// diagonal, split 50/50) adds nothing: MCL and sum of squares are exactly
+// those of the graph without it.
+TEST(DeltaEval, DenormalFlowAddsNoLoad) {
+  const Torus t = Torus::torus({4, 4});
+  std::vector<NodeId> place(16);
+  for (std::size_t i = 0; i < place.size(); ++i) {
+    place[i] = static_cast<NodeId>(i);
+  }
+  CommGraph with(16);
+  with.addFlow(0, 5, 5e-324);  // 0.5 * 5e-324 underflows to 0.0
+  with.addFlow(0, 1, 8);       // shares the 0->1 channel with one path
+  CommGraph without(16);
+  without.addFlow(0, 1, 8);
+  const DeltaPlacementEval a(t, with, place);
+  const DeltaPlacementEval b(t, without, place);
+  EXPECT_EQ(a.mcl(), b.mcl());
+  EXPECT_EQ(a.sumSquares(), b.sumSquares());
 }
 
 // The central property: across randomized committed swap sequences, the

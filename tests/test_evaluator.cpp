@@ -1,4 +1,4 @@
-// Tests for the memoized MCL evaluator and the placement refinement pass.
+// Tests for the final placement refinement pass (core/refine.hpp).
 
 #include <gtest/gtest.h>
 
@@ -6,105 +6,12 @@
 
 #include "common/rng.hpp"
 #include "core/refine.hpp"
-#include "graph/stats.hpp"
-#include "routing/evaluator.hpp"
 #include "routing/oblivious.hpp"
 #include "topology/presets.hpp"
 #include "workloads/workload.hpp"
 
 namespace rahtm {
 namespace {
-
-TEST(Evaluator, MatchesPlacementMcl) {
-  // The memoized evaluator must agree exactly with the reference
-  // computation across random placements on assorted topologies.
-  Rng rng(77);
-  for (const Torus& t : {Torus::torus(Shape{4, 4}), Torus::mesh(Shape{2, 2, 2}),
-                         Torus::torus(Shape{4, 2, 2})}) {
-    const auto n = static_cast<std::size_t>(t.numNodes());
-    CommGraph g(static_cast<RankId>(n));
-    for (std::size_t i = 0; i < 3 * n; ++i) {
-      const auto a = static_cast<RankId>(rng.nextBounded(n));
-      const auto b = static_cast<RankId>(rng.nextBounded(n));
-      if (a != b) g.addFlow(a, b, 1 + static_cast<double>(rng.nextBounded(64)));
-    }
-    MclEvaluator evaluator(t);
-    std::vector<NodeId> place(n);
-    std::iota(place.begin(), place.end(), 0);
-    for (int trial = 0; trial < 10; ++trial) {
-      rng.shuffle(place);
-      EXPECT_NEAR(evaluator.mcl(g, place), placementMcl(t, g, place), 1e-9)
-          << t.describe();
-      EXPECT_NEAR(evaluator.hopBytesOf(g, place), hopBytes(g, t, place), 1e-9);
-    }
-  }
-}
-
-TEST(Evaluator, SummarizeIsConsistent) {
-  const Torus t = Torus::torus(Shape{4, 4});
-  CommGraph g(4);
-  g.addFlow(0, 1, 10);
-  g.addFlow(2, 3, 6);
-  MclEvaluator evaluator(t);
-  const std::vector<NodeId> place{0, 1, 2, 3};
-  const auto s = evaluator.summarize(g, place);
-  EXPECT_NEAR(s.mcl, evaluator.mcl(g, place), 1e-12);
-  EXPECT_GT(s.sumSquares, 0);
-  // Sum of squares is at least mcl^2 (the max channel contributes).
-  EXPECT_GE(s.sumSquares, s.mcl * s.mcl - 1e-9);
-}
-
-TEST(Evaluator, VanishingFlowDoesNotDoubleCountChannels) {
-  // Regression: a flow whose per-channel contribution rounds to 0.0 (a
-  // denormal volume split fractionally across paths) used to leave the
-  // channel's scratch cell at zero, so a later flow on the same channel
-  // re-pushed it into the touched list and summarize() double-counted its
-  // load in sumSquares. Epoch-mark tracking makes the touched list a set.
-  const Torus t = Torus::torus(Shape{4, 4});
-  const std::vector<NodeId> place{0, 1, 2, 3, 4, 5, 6, 7,
-                                  8, 9, 10, 11, 12, 13, 14, 15};
-  CommGraph with(16);
-  // Diagonal (0,0)->(1,1): the oblivious router splits 50/50, and
-  // 0.5 * 5e-324 underflows to exactly 0.0.
-  with.addFlow(0, 5, 5e-324);
-  with.addFlow(0, 1, 8);  // shares the 0->1 channel with the X-first path
-  CommGraph without(16);
-  without.addFlow(0, 1, 8);
-  MclEvaluator a(t);
-  MclEvaluator b(t);
-  const auto sWith = a.summarize(with, place);
-  const auto sWithout = b.summarize(without, place);
-  EXPECT_DOUBLE_EQ(sWith.mcl, sWithout.mcl);
-  EXPECT_DOUBLE_EQ(sWith.sumSquares, sWithout.sumSquares);
-}
-
-TEST(Evaluator, RepeatedEvaluationsStayConsistent) {
-  // The epoch counter must reset scratch state correctly across many
-  // evaluations on the same instance (exercises the mark/epoch path).
-  const Torus t = Torus::mesh(Shape{2, 2, 2});
-  CommGraph g(8);
-  g.addExchange(0, 7, 12);
-  g.addExchange(1, 6, 5);
-  MclEvaluator evaluator(t);
-  std::vector<NodeId> place(8);
-  std::iota(place.begin(), place.end(), 0);
-  const double first = evaluator.mcl(g, place);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(evaluator.mcl(g, place), first);
-  }
-  const auto s = evaluator.summarize(g, place);
-  EXPECT_DOUBLE_EQ(s.mcl, first);
-}
-
-TEST(Evaluator, CoLocatedVerticesAreFree) {
-  const Torus t = Torus::torus(Shape{2, 2});
-  CommGraph g(2);
-  g.addFlow(0, 1, 99);
-  MclEvaluator evaluator(t);
-  EXPECT_DOUBLE_EQ(evaluator.mcl(g, {2, 2}), 0);
-}
-
-// ---- Refinement ------------------------------------------------------------
 
 TEST(Refine, ImprovesABadPlacement) {
   // Chain graph placed in bit-reversed order on a ring: refinement should

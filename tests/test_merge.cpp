@@ -135,11 +135,11 @@ TEST(Merge, RepositioningCanBeatPinnedSlots) {
   g.addExchange(2, 3, 50);
 
   MergeConfig pinned;
-  pinned.allowRepositioning = false;
+  pinned.maxRepositionSlots = 0;
   const auto rp = mergeChildren(region, Shape{1, 1}, Shape{4, 1}, children, g,
                                 pinned);
   MergeConfig repositioning;
-  repositioning.allowRepositioning = true;
+  repositioning.maxRepositionSlots = 3;  // every other slot
   const auto rr = mergeChildren(region, Shape{1, 1}, Shape{4, 1}, children, g,
                                 repositioning);
   EXPECT_LE(rr.objective, rp.objective);
@@ -215,10 +215,10 @@ TEST(Merge, BeamWidthOneIsGreedy) {
   }
   MergeConfig greedy;
   greedy.beamWidth = 1;
-  greedy.allowRepositioning = true;
+  greedy.maxRepositionSlots = 7;  // every other slot
   MergeConfig wide;
   wide.beamWidth = 64;
-  wide.allowRepositioning = true;
+  wide.maxRepositionSlots = 7;
   const auto rg = mergeChildren(region, Shape{1, 1, 1}, Shape{2, 2, 2},
                                 children, g, greedy);
   const auto rw = mergeChildren(region, Shape{1, 1, 1}, Shape{2, 2, 2},

@@ -34,8 +34,10 @@ run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # cross-request artifact cache and the scheduler's concurrent waves;
 # test_delta_eval annealing restarts on the pool over one shared route
 # table. test_merge is serial today; it rides along so the merge kernel is
-# covered once its candidate scoring moves onto the pool.
-run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_delta_eval|test_merge' \
+# covered once its candidate scoring moves onto the pool. The threaded
+# golden mapfile runs drive the whole threaded pipeline (restarts on the
+# pool, the refine seed pair, the watchdog thread) through rahtm_map.
+run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_delta_eval|test_merge|tool_rahtm_map_golden_.*_t4' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRAHTM_SANITIZE=thread
 
 # Benchmark-regression gate: emit the smoke ledger at the small scale,

@@ -19,6 +19,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "bench/suites.hpp"
@@ -34,6 +35,12 @@
 namespace {
 
 using namespace rahtm;
+
+const std::vector<std::string> kFlags = {
+    "help", "verbose", "suites", "out", "baseline", "check", "candidate",
+    "thresholds", "validate", "sim-threads", "sim-fidelity", "mem-report",
+    "mem-budget-mb", "trace-out", "trace-summary", "metrics-out",
+    "postmortem-dir"};
 
 int usage(const char* argv0) {
   std::string suites;
@@ -167,7 +174,14 @@ int main(int argc, char** argv) {
     // past this point.
     obs::MemRegistry::instance();
 
-    const CliArgs args(argc, argv);
+    std::optional<CliArgs> parsed;
+    try {
+      parsed.emplace(argc, argv, kFlags);
+    } catch (const ParseError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return usage(argv[0]);
+    }
+    const CliArgs& args = *parsed;
     if (args.has("help")) return usage(argv[0]);
     if (args.getBool("verbose")) setLogLevel(LogLevel::Info);
     const auto telemetry = bench::telemetryFromCli(argc, argv);

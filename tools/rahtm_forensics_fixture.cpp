@@ -21,11 +21,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/postmortem.hpp"
@@ -80,7 +82,15 @@ int runStall(const std::string& dir, double deadlineSec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  rahtm::CliArgs args(argc, argv);
+  std::optional<rahtm::CliArgs> parsed;
+  try {
+    parsed.emplace(argc, argv,
+                   std::vector<std::string>{"mode", "dir", "deadline-sec"});
+  } catch (const rahtm::ParseError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return usage(argv[0]);
+  }
+  const rahtm::CliArgs& args = *parsed;
   const std::string mode = args.getString("mode", "");
   const std::string dir = args.getString("dir", "");
   if (mode.empty() || dir.empty()) return usage(argv[0]);

@@ -5,9 +5,9 @@
 /// the MPI runtime consumes on every subsequent run.
 ///
 /// Usage:
-///   rahtm_map --machine 4x4x4x2 --concentration 8 --benchmark CG \
+///   rahtm_map --machine 4x4x4x2 --concentration 8 --benchmark CG
 ///             --out cg.map [--mapper rahtm|abcdet|hilbert|rht|greedy|random]
-///   rahtm_map --machine 4x4x4x2 --concentration 8 --profile run.prof \
+///   rahtm_map --machine 4x4x4x2 --concentration 8 --profile run.prof
 ///             --grid 32x32 --out app.map
 ///
 /// The profile format is the library's IPM-lite text format (see
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -43,6 +44,14 @@ Shape parseShape(const std::string& spec) {
   }
   return shape;
 }
+
+const std::vector<std::string> kFlags = {
+    "help", "machine", "concentration", "benchmark", "profile", "grid", "out",
+    "mapper", "bytes", "beam", "leaf-milp", "no-merge", "no-refine",
+    "verbose", "threads", "trace-out", "trace-summary", "metrics-out",
+    "link-heatmap", "postmortem-dir", "sim-threads", "sim-fidelity",
+    "watchdog-sec", "watchdog-phases", "watchdog-action", "no-watchdog",
+    "mem-report", "mem-budget-mb"};
 
 int usage(const char* argv0) {
   std::cerr
@@ -108,7 +117,14 @@ int main(int argc, char** argv) {
     // past this point.
     obs::MemRegistry::instance();
 
-    const CliArgs args(argc, argv);
+    std::optional<CliArgs> parsed;
+    try {
+      parsed.emplace(argc, argv, kFlags);
+    } catch (const ParseError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return usage(argv[0]);
+    }
+    const CliArgs& args = *parsed;
     if (args.has("help") || !args.has("machine")) return usage(argv[0]);
     if (args.getBool("verbose")) setLogLevel(LogLevel::Info);
 

@@ -24,12 +24,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/log.hpp"
 #include "mapping/mapfile.hpp"
 #include "obs/mem.hpp"
@@ -42,6 +44,11 @@
 namespace {
 
 using namespace rahtm;
+
+const std::vector<std::string> kFlags = {
+    "help", "stdin", "socket", "threads", "batch", "queue-depth", "cache-mb",
+    "no-cache", "no-mapping", "map-out-dir", "trace-out", "trace-summary",
+    "metrics-out", "mem-report", "mem-budget-mb", "verbose"};
 
 int usage(const char* argv0) {
   std::cerr
@@ -263,7 +270,14 @@ int main(int argc, char** argv) {
     // Pin the memory registry's RSS baseline before any subsystem allocates.
     obs::MemRegistry::instance();
 
-    const CliArgs args(argc, argv);
+    std::optional<CliArgs> parsed;
+    try {
+      parsed.emplace(argc, argv, kFlags);
+    } catch (const ParseError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return usage(argv[0]);
+    }
+    const CliArgs& args = *parsed;
     const bool stdinMode = args.getBool("stdin");
     const std::string socketPath = args.getString("socket", "");
     if (args.has("help") || (stdinMode == !socketPath.empty())) {
