@@ -7,9 +7,10 @@
 /// ledger is comparable across hosts:
 ///
 ///  * **parity64** — every (src,dst) route of a 64-node torus read from the
-///    table and compared bit for bit against forEachUniformMinimalLoad()
-///    grouped by channel. `table_parity_mismatches` has a committed
-///    baseline of 0 — any nonzero value is a hard failure.
+///    table, its (fraction, multiplicity) entries expanded, and compared bit
+///    for bit against forEachUniformMinimalLoad() grouped by channel.
+///    `table_parity_mismatches` has a committed baseline of 0 — any nonzero
+///    value is a hard failure.
 ///
 ///  * **CG512** — the full hierarchical solve on the paper's 512-node BG/Q
 ///    partition (CG, trimmed search budget). mcl / hop_bytes are gated at
@@ -22,6 +23,7 @@
 ///    the build time is recorded.
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
@@ -43,31 +45,37 @@ namespace {
 constexpr double kMb = 1024.0 * 1024.0;
 
 /// Routes of \p table that differ from the uniform-minimal enumeration
-/// grouped by channel (first-appearance order, fractions in order).
+/// grouped by channel (first-appearance order, fractions in order), each
+/// (fraction, multiplicity) entry expanded and every fraction compared bit
+/// for bit.
 std::int64_t parityMismatches(const RouteTable& table) {
   const Torus& topo = table.topology();
   const auto n = static_cast<NodeId>(topo.numNodes());
+  const auto bits = [](double f) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &f, sizeof b);
+    return b;
+  };
   std::int64_t mismatches = 0;
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
       std::map<ChannelId, std::size_t> groupOf;
-      std::vector<std::pair<ChannelId, std::vector<double>>> want;
+      std::vector<std::pair<ChannelId, std::vector<std::uint64_t>>> want;
       forEachUniformMinimalLoad(
           topo, topo.coordOf(s), topo.coordOf(d), 1.0,
           [&](ChannelId c, double f) {
             const auto [it, fresh] = groupOf.emplace(c, want.size());
-            if (fresh) want.emplace_back(c, std::vector<double>{});
-            want[it->second].second.push_back(f);
+            if (fresh) want.emplace_back(c, std::vector<std::uint64_t>{});
+            want[it->second].second.push_back(bits(f));
           });
       const RouteTable::Span got = table.find(s, d);
-      bool same = got.channels() == want.size();
-      std::size_t k = 0;
-      got.forEachChannel([&](ChannelId c, const double* first,
-                             const double* last) {
-        same = same && c == want[k].first &&
-               std::vector<double>(first, last) == want[k].second;
-        ++k;
-      });
+      bool same = got.size == want.size();
+      for (std::size_t k = 0; same && k < got.size; ++k) {
+        same = got.channel(k) == want[k].first &&
+               std::vector<std::uint64_t>(got.multiplicity(k),
+                                          bits(got.fracs[k])) ==
+                   want[k].second;
+      }
       if (!same) ++mismatches;
     }
   }

@@ -17,30 +17,6 @@ namespace rahtm {
 
 namespace {
 
-/// Scratch accumulator for candidate evaluation: a dense per-channel delta
-/// with a touched list, so clearing costs O(touched).
-class LoadDelta {
- public:
-  explicit LoadDelta(std::int64_t slots)
-      : dense_(static_cast<std::size_t>(slots), 0.0) {}
-
-  void add(ChannelId c, double v) {
-    auto& cell = dense_[static_cast<std::size_t>(c)];
-    if (cell == 0.0 && v != 0.0) touched_.push_back(c);
-    cell += v;
-  }
-  double at(ChannelId c) const { return dense_[static_cast<std::size_t>(c)]; }
-  const std::vector<ChannelId>& touched() const { return touched_; }
-  void clear() {
-    for (const ChannelId c : touched_) dense_[static_cast<std::size_t>(c)] = 0;
-    touched_.clear();
-  }
-
- private:
-  std::vector<double> dense_;
-  std::vector<ChannelId> touched_;
-};
-
 /// A flow restricted to the merge region, in local cluster indices.
 struct FlowRef {
   std::size_t a;  ///< local cluster index of src
@@ -180,6 +156,16 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   const bool useLoads = cfg.objective == MapObjective::Mcl;
   const std::shared_ptr<const RouteTable> routes =
       useLoads ? routeTableFor(regionTopo, cfg.artifacts) : nullptr;
+  const auto loadSlots = static_cast<std::size_t>(regionTopo.numChannelSlots());
+
+  // A candidate's loads accumulate into a dense per-channel array that is
+  // zero at rest; the routes added say which cells to read back and clear.
+  std::vector<double> childLoads(useLoads ? loadSlots : 0, 0.0);
+  std::vector<RouteTable::Span> added;
+  const auto addChildRoute = [&](NodeId na, NodeId nb, double bytes) {
+    added.push_back(routes->find(na, nb));
+    addRoute(added.back(), bytes, childLoads.data());
+  };
 
   // ---- Merge order: decreasing average pairwise interaction --------------
   // Interaction(i,j): objective of just the i<->j flows with both children
@@ -210,10 +196,13 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       const NodeId nb = clusterNode[f.b];
       double v = 0;
       if (useLoads) {
-        routes->find(na, nb).forEachChannel(
-            [&](ChannelId, const double* first, const double* last) {
-              v = std::max(v, addFractions(0, first, last, f.bytes));
-            });
+        const RouteTable::Span r = routes->find(na, nb);
+        addRoute(r, f.bytes, childLoads.data());
+        for (std::size_t k = 0; k < r.size; ++k) {
+          double& load = childLoads[static_cast<std::size_t>(r.channel(k))];
+          v = std::max(v, load);
+          load = 0.0;
+        }
       } else {
         v = f.bytes * regionTopo.distance(na, nb);
       }
@@ -240,7 +229,6 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
 
   // ---- Beam search --------------------------------------------------------
   const std::size_t slotCount = static_cast<std::size_t>(slotGrid.numNodes());
-  const auto loadSlots = static_cast<std::size_t>(regionTopo.numChannelSlots());
 
   BeamEntry seed;
   seed.localNode.assign(regionClusters.size(), kInvalidNode);
@@ -256,7 +244,6 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   // merge result is never worse than the pseudo-pins it refines.
   std::size_t pinnedLineage = 0;
 
-  LoadDelta delta(regionTopo.numChannelSlots());
   std::vector<NodeId> childPos;
 
   // Visit (na, nb, bytes) for every flow of child ci that connects two
@@ -277,17 +264,6 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       visit(na, nb, f.bytes);
     }
   };
-  // The same flows' channel loads, one sink(channel, load) per route
-  // fraction; each channel's loads arrive in enumeration order.
-  const auto routeChildFlows = [&](const BeamEntry& entry, std::size_t ci,
-                                   auto&& sink) {
-    forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
-      routes->find(na, nb).forEachChannel(
-          [&](ChannelId c, const double* first, const double* last) {
-            for (; first != last; ++first) sink(c, bytes * *first);
-          });
-    });
-  };
   // Objective of placing child ci at childPos on top of entry.
   const auto scoreChild = [&](const BeamEntry& entry, std::size_t ci) {
     ++candidatesScored;
@@ -298,13 +274,23 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       });
       return hb;
     }
-    delta.clear();
-    routeChildFlows(entry, ci,
-                    [&](ChannelId c, double v) { delta.add(c, v); });
-    // max(partial + delta) == max(partialMax, max over touched).
+    added.clear();
+    forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
+      addChildRoute(na, nb, bytes);
+    });
+    // max(partial + delta) == max(partialMax, max over the channels the
+    // child's flows load). A channel on several routes reads the cleared
+    // zero after its first and is skipped, as is a channel whose added
+    // loads all underflowed to zero.
     double m = entry.maxLoad;
-    for (const ChannelId c : delta.touched()) {
-      m = std::max(m, entry.loads[static_cast<std::size_t>(c)] + delta.at(c));
+    for (const RouteTable::Span& r : added) {
+      for (std::size_t k = 0; k < r.size; ++k) {
+        const auto c = static_cast<std::size_t>(r.channel(k));
+        if (childLoads[c] != 0.0) {
+          m = std::max(m, entry.loads[c] + childLoads[c]);
+        }
+        childLoads[c] = 0.0;
+      }
     }
     return m;
   };
@@ -417,9 +403,10 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       if (useLoads) {
         // Only flows fully placed *now* and not counted before: exactly
         // those touching ci with both endpoints placed.
-        routeChildFlows(beam[c.parent], ci, [&e](ChannelId ch, double v) {
-          e.loads[static_cast<std::size_t>(ch)] += v;
-        });
+        forPlacedFlows(beam[c.parent], ci,
+                       [&](NodeId na, NodeId nb, double bytes) {
+                         addRoute(routes->find(na, nb), bytes, e.loads.data());
+                       });
         e.maxLoad = c.objective;
       } else {
         e.hopBytes = c.objective;

@@ -229,6 +229,7 @@ RefineResult refineImpl(const Torus& topo, const CommGraph& clusterGraph,
   result.probes = eval.probes();
   result.denseSweeps = eval.denseSweeps();
   result.maskedSweeps = eval.maskedSweeps();
+  result.channelVisits = eval.channelVisits();
   std::copy(eval.placement().begin(), eval.placement().begin() +
             static_cast<std::ptrdiff_t>(n), nodeOfCluster.begin());
   return result;
@@ -256,6 +257,8 @@ RefineResult refinePlacement(const Torus& topo, const CommGraph& clusterGraph,
         .add(static_cast<std::int64_t>(result.denseSweeps));
     reg->counter("rahtm.refine.masked_sweeps")
         .add(static_cast<std::int64_t>(result.maskedSweeps));
+    reg->counter("rahtm.refine.channel_visits")
+        .add(static_cast<std::int64_t>(result.channelVisits));
   }
   return result;
 }

@@ -59,6 +59,7 @@ struct RefineResult {
   std::uint64_t probes = 0;        ///< candidate swaps evaluated
   std::uint64_t denseSweeps = 0;   ///< from-scratch rebuilds performed
   std::uint64_t maskedSweeps = 0;  ///< probes that swept for their max
+  std::uint64_t channelVisits = 0;  ///< route channels probes accumulated
 };
 
 /// Improve \p nodeOfCluster (a placement of clusterGraph's vertices onto

@@ -99,6 +99,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     std::uint64_t probes = 0;
     std::uint64_t commits = 0;
     std::uint64_t maskedSweeps = 0;
+    std::uint64_t channelVisits = 0;
   };
   std::vector<RestartResult> results(static_cast<std::size_t>(restarts));
 
@@ -185,6 +186,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     out.probes = state.probes();
     out.commits = state.commits();
     out.maskedSweeps = state.maskedSweeps();
+    out.channelVisits = state.channelVisits();
     // Report the best placement under a from-scratch evaluation: the
     // incrementally tracked objective can drift from the exact value by a
     // few ulps over a long move sequence.
@@ -208,6 +210,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     best.probes += r.probes;
     best.commits += r.commits;
     best.maskedSweeps += r.maskedSweeps;
+    best.channelVisits += r.channelVisits;
     if (r.objective < best.objective) {
       best.objective = r.objective;
       best.vertexOf = r.placement;
@@ -286,6 +289,8 @@ SubproblemSolution solveSubproblem(const CommGraph& g, const Torus& cube,
           .add(static_cast<std::int64_t>(s.commits));
       reg->counter("rahtm.anneal.masked_sweeps")
           .add(static_cast<std::int64_t>(s.maskedSweeps));
+      reg->counter("rahtm.anneal.channel_visits")
+          .add(static_cast<std::int64_t>(s.channelVisits));
     }
   }
   return s;

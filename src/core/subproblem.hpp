@@ -58,11 +58,12 @@ struct SubproblemSolution {
   /// placements evaluated for "exhaustive", proposed moves for "anneal".
   long iterations = 0;
   /// Delta-engine telemetry ("anneal" only): candidate moves evaluated,
-  /// moves committed and probes that swept for their max, across all
-  /// restarts.
+  /// moves committed, probes that swept for their max and route channels
+  /// the probes accumulated, across all restarts.
   std::uint64_t probes = 0;
   std::uint64_t commits = 0;
   std::uint64_t maskedSweeps = 0;
+  std::uint64_t channelVisits = 0;
 };
 
 /// Objective value of a placement under the oblivious uniform-minimal model

@@ -52,9 +52,11 @@ void registerStandardMetrics(MetricsRegistry& registry) {
   registry.counter("rahtm.merge.candidates");
   registry.counter("rahtm.merge.scored");
   registry.counter("rahtm.anneal.masked_sweeps");
+  registry.counter("rahtm.anneal.channel_visits");
   registry.counter("rahtm.refine.passes");
   registry.counter("rahtm.refine.swaps");
   registry.counter("rahtm.refine.masked_sweeps");
+  registry.counter("rahtm.refine.channel_visits");
   // Per-phase quality attribution (core/rahtm.cpp recordPhaseQuality).
   for (const char* phase : {"cluster", "pin", "merge", "refine"}) {
     registry.gauge(std::string("rahtm.quality.") + phase + ".mcl");

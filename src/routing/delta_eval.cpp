@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -30,6 +31,10 @@ constexpr double kResidueRelEps = 1e-12;
 inline double scrubResidue(double v, double peak) {
   return std::abs(v) < kResidueRelEps * peak ? 0.0 : v;
 }
+
+/// Two double lanes: one SSE2 register on x86-64 (a GCC/Clang vector type,
+/// compiled with the baseline flags, so no fused multiply-add).
+using LanePair = double __attribute__((vector_size(2 * sizeof(double))));
 
 }  // namespace
 
@@ -89,13 +94,11 @@ RouteTable::RouteTable(const Torus& topo) : topo_(topo) {
   // wrapping dimension's negative offsets alias offset + k, whose route is
   // built first and then shared.
   routeOf_.assign(static_cast<std::size_t>(cells), -1);
-  channelStart_.push_back(0);
-  fracStart_.push_back(0);
-  std::vector<std::int32_t> groupOf(
+  start_.push_back(0);
+  // Entry of each channel in the route being built; -1 when absent.
+  std::vector<std::int64_t> entryOf(
       static_cast<std::size_t>(topo.numChannelSlots()), -1);
   std::vector<ChannelId> channels;  // the route's, in first-appearance order
-  std::vector<std::pair<std::int32_t, double>> entries;  // (group, frac)
-  std::vector<std::uint32_t> next;  // counting-sort cursor per group
   digit = Coord(n, 0);
   for (std::int64_t v = 0; v < cells; ++v, advanceDigits(digit, vext)) {
     Coord src(n, 0);
@@ -109,24 +112,21 @@ RouteTable::RouteTable(const Torus& topo) : topo_(topo) {
     }
     if (!canonical) continue;
     routeOf_[static_cast<std::size_t>(v)] =
-        static_cast<std::int32_t>(fracStart_.size() - 1);
+        static_cast<std::int32_t>(start_.size() - 1);
     channels.clear();
-    entries.clear();
     forEachUniformMinimalLoad(topo, src, dst, 1.0, [&](ChannelId c, double f) {
-      std::int32_t& group = groupOf[static_cast<std::size_t>(c)];
-      if (group < 0) {
-        group = static_cast<std::int32_t>(channels.size());
-        channels.push_back(c);
+      std::int64_t& entry = entryOf[static_cast<std::size_t>(c)];
+      if (entry >= 0) {
+        const auto e = static_cast<std::size_t>(entry);
+        RAHTM_REQUIRE(std::memcmp(&fracs_[e], &f, sizeof f) == 0,
+                      "RouteTable: a channel's fractions differ");
+        RAHTM_REQUIRE(mult_[e] < std::numeric_limits<std::uint8_t>::max(),
+                      "RouteTable: channel multiplicity overflows");
+        ++mult_[e];
+        return;
       }
-      entries.emplace_back(group, f);
-    });
-    // Stable counting sort of the fractions by channel.
-    next.assign(channels.size() + 1, 0);
-    for (const auto& e : entries) ++next[static_cast<std::size_t>(e.first) + 1];
-    for (std::size_t k = 0; k < channels.size(); ++k) {
-      next[k + 1] += next[k];
-      const ChannelId c = channels[k];
-      groupOf[static_cast<std::size_t>(c)] = -1;
+      entry = static_cast<std::int64_t>(fracs_.size());
+      channels.push_back(c);
       const Torus::ChannelRef ref = topo.channelRef(c);
       const Coord at = topo.coordOf(ref.node);
       Coord rel(n, 0);
@@ -134,15 +134,11 @@ RouteTable::RouteTable(const Torus& topo) : topo_(topo) {
       rel_.push_back(virtualIndex(rel));
       slot_.push_back(static_cast<std::uint8_t>(
           ref.dim * 2 + static_cast<std::size_t>(ref.dir)));
-      end_.push_back(next[k + 1]);
-    }
-    const std::size_t first = fracs_.size();
-    fracs_.resize(first + entries.size());
-    for (const auto& [group, f] : entries) {
-      fracs_[first + next[static_cast<std::size_t>(group)]++] = f;
-    }
-    channelStart_.push_back(static_cast<std::int64_t>(rel_.size()));
-    fracStart_.push_back(static_cast<std::int64_t>(fracs_.size()));
+      mult_.push_back(1);
+      fracs_.push_back(f);
+    });
+    start_.push_back(static_cast<std::int64_t>(fracs_.size()));
+    for (const ChannelId c : channels) entryOf[static_cast<std::size_t>(c)] = -1;
   }
   digit = Coord(n, 0);
   for (std::int64_t v = 0; v < cells; ++v, advanceDigits(digit, vext)) {
@@ -158,20 +154,17 @@ RouteTable::RouteTable(const Torus& topo) : topo_(topo) {
   }
 
   // The arenas grew by doubling; the table is immutable from here on.
-  channelStart_.shrink_to_fit();
-  fracStart_.shrink_to_fit();
+  start_.shrink_to_fit();
   rel_.shrink_to_fit();
   slot_.shrink_to_fit();
-  end_.shrink_to_fit();
+  mult_.shrink_to_fit();
   fracs_.shrink_to_fit();
   mem_.set(static_cast<std::int64_t>(
       (virtOf_.capacity() + routeOf_.capacity() + rel_.capacity()) *
           sizeof(std::int32_t) +
       base_.capacity() * sizeof(ChannelId) +
-      (channelStart_.capacity() + fracStart_.capacity()) *
-          sizeof(std::int64_t) +
-      slot_.capacity() * sizeof(std::uint8_t) +
-      end_.capacity() * sizeof(std::uint32_t) +
+      start_.capacity() * sizeof(std::int64_t) +
+      (slot_.capacity() + mult_.capacity()) * sizeof(std::uint8_t) +
       fracs_.capacity() * sizeof(double)));
 }
 
@@ -182,17 +175,66 @@ RouteTable::Span RouteTable::find(NodeId src, NodeId dst) const {
   const std::int32_t from = virtOf_[static_cast<std::size_t>(src)];
   const auto route = static_cast<std::size_t>(routeOf_[static_cast<std::size_t>(
       center_ + virtOf_[static_cast<std::size_t>(dst)] - from)]);
-  const auto channels = static_cast<std::size_t>(channelStart_[route]);
-  const auto fracs = static_cast<std::size_t>(fracStart_[route]);
+  const auto first = static_cast<std::size_t>(start_[route]);
   Span s;
-  s.fracs = fracs_.data() + fracs;
-  s.size = static_cast<std::size_t>(fracStart_[route + 1]) - fracs;
-  s.channels_ = static_cast<std::size_t>(channelStart_[route + 1]) - channels;
+  s.fracs = fracs_.data() + first;
+  s.size = static_cast<std::size_t>(start_[route + 1]) - first;
   s.base_ = base_.data() + from;
-  s.rel_ = rel_.data() + channels;
-  s.slot_ = slot_.data() + channels;
-  s.end_ = end_.data() + channels;
+  s.rel_ = rel_.data() + first;
+  s.slot_ = slot_.data() + first;
+  s.mult_ = mult_.data() + first;
   return s;
+}
+
+void addRoute(const RouteTable::Span& r, double bytes, double* cells) {
+  // Eight channels at a time in four lane pairs: each lane repeats its own
+  // channel's addition, and the eight chains of additions run side by side
+  // instead of one after another. Every lane adds for the block's smallest
+  // multiplicity, then a lane with a larger one finishes alone (a 2-ary
+  // cube's routes have one multiplicity throughout). Entries past the last
+  // full block are added one at a time.
+  constexpr std::size_t kLanes = 8;
+  const LanePair scale = {bytes, bytes};
+  std::size_t k = 0;
+  for (; k + kLanes <= r.size; k += kLanes) {
+    ChannelId c[kLanes];
+    for (std::size_t i = 0; i < kLanes; ++i) c[i] = r.channel(k + i);
+    LanePair acc[kLanes / 2];
+    LanePair add[kLanes / 2];
+    for (std::size_t p = 0; p < kLanes / 2; ++p) {
+      acc[p] = LanePair{cells[static_cast<std::size_t>(c[2 * p])],
+                        cells[static_cast<std::size_t>(c[2 * p + 1])]};
+      LanePair f;
+      std::memcpy(&f, r.fracs + k + 2 * p, sizeof f);
+      add[p] = f * scale;
+    }
+    const std::uint8_t* mult = r.mult_ + k;
+    std::uint64_t packed = 0;
+    static_assert(sizeof packed == kLanes);
+    std::memcpy(&packed, mult, sizeof packed);
+    unsigned lo = mult[0];
+    const bool uniform = packed == lo * 0x0101010101010101ull;
+    if (!uniform) lo = *std::min_element(mult, mult + kLanes);
+    for (unsigned j = 0; j < lo; ++j) {
+      for (std::size_t p = 0; p < kLanes / 2; ++p) acc[p] += add[p];
+    }
+    for (std::size_t p = 0; p < kLanes / 2; ++p) {
+      double even = acc[p][0];
+      double odd = acc[p][1];
+      if (!uniform) {
+        for (unsigned j = lo; j < mult[2 * p]; ++j) even += add[p][0];
+        for (unsigned j = lo; j < mult[2 * p + 1]; ++j) odd += add[p][1];
+      }
+      cells[static_cast<std::size_t>(c[2 * p])] = even;
+      cells[static_cast<std::size_t>(c[2 * p + 1])] = odd;
+    }
+  }
+  for (; k < r.size; ++k) {
+    const ChannelId c = r.channel(k);
+    const double add = r.fracs[k] * bytes;
+    double& cell = cells[static_cast<std::size_t>(c)];
+    for (unsigned j = 0; j < r.mult_[k]; ++j) cell += add;
+  }
 }
 
 std::shared_ptr<const RouteTable> RouteTable::buildFull(const Torus& topo) {
@@ -238,15 +280,25 @@ DeltaPlacementEval::DeltaPlacementEval(
     peak_.assign(slots, 0.0);
     delta_.assign(slots, 0.0);
     mark_.assign(slots, 0);
-    touched_.reserve(slots);  // a probe touches each channel at most once
+    // A probe routes each flow of its two vertices at most twice.
+    std::size_t maxIncident = 0;
+    for (std::size_t v = 0; v < incidence_->numBuckets(); ++v) {
+      maxIncident = std::max(maxIncident, incidence_->of(v).size);
+    }
+    probeRoutes_.resize(4 * maxIncident);
+    // The first-touch pass writes one slot past the distinct channels.
+    touched_.resize(slots + 1);
+    newLoads_.resize(slots);
   }
   rebuild();
   // The footprint is fixed from here on; capacity based like RouteTable's.
   mem_.set(static_cast<std::int64_t>(
       placement_.capacity() * sizeof(NodeId) +
-      (loads_.capacity() + peak_.capacity() + delta_.capacity()) *
+      (loads_.capacity() + peak_.capacity() + delta_.capacity() +
+       newLoads_.capacity()) *
           sizeof(double) +
       mark_.capacity() * sizeof(std::uint32_t) +
+      probeRoutes_.capacity() * sizeof(RouteTable::Span) +
       touched_.capacity() * sizeof(ChannelId)));
 }
 
@@ -259,11 +311,7 @@ void DeltaPlacementEval::rebuild() {
       const NodeId v = placement_[static_cast<std::size_t>(f.dst)];
       RAHTM_REQUIRE(u >= 0 && v >= 0, "DeltaPlacementEval: unmapped vertex");
       if (u == v || f.bytes == 0) continue;
-      routes_->find(u, v).forEachChannel(
-          [&](ChannelId c, const double* first, const double* last) {
-            double& load = loads_[static_cast<std::size_t>(c)];
-            load = addFractions(load, first, last, f.bytes);
-          });
+      addRoute(routes_->find(u, v), f.bytes, loads_.data());
     }
     for (std::size_t c = 0; c < loads_.size(); ++c) {
       peak_[c] = std::max(peak_[c], std::abs(loads_[c]));
@@ -313,21 +361,44 @@ void DeltaPlacementEval::beginProbe(Pending kind, RankId a, RankId b,
   pendA_ = a;
   pendB_ = b;
   pendNode_ = node;
-  touched_.clear();
-  if (cfg_.trackLoads && ++epoch_ == 0) {  // epoch wrap: invalidate marks
-    std::fill(mark_.begin(), mark_.end(), 0);
-    epoch_ = 1;
-  }
+  routeCount_ = 0;
   pendingSummary_ = cur_;
 }
 
-void DeltaPlacementEval::touchChannel(ChannelId c) {
-  const auto idx = static_cast<std::size_t>(c);
-  if (mark_[idx] != epoch_) {
-    mark_[idx] = epoch_;
-    delta_[idx] = 0.0;
-    touched_.push_back(c);
+void DeltaPlacementEval::accumulateRoute(NodeId src, NodeId dst,
+                                         double bytes) {
+  const RouteTable::Span& r = probeRoutes_[routeCount_++] =
+      routes_->find(src, dst);
+  addRoute(r, bytes, delta_.data());
+}
+
+void DeltaPlacementEval::markTouched() {
+  if (++epoch_ == 0) {  // epoch wrap: invalidate marks
+    std::fill(mark_.begin(), mark_.end(), 0);
+    epoch_ = 1;
   }
+  // Branch-free first-touch order: every route channel is written at the
+  // end of the touched list, which advances only past a channel not yet
+  // marked. (Locals: a store to mark_ could otherwise alias epoch_.)
+  const std::uint32_t epoch = epoch_;
+  const std::size_t routes = routeCount_;
+  const RouteTable::Span* logged = probeRoutes_.data();
+  std::uint32_t* mark = mark_.data();
+  ChannelId* touched = touched_.data();
+  std::size_t count = 0;
+  std::size_t visits = 0;
+  for (std::size_t i = 0; i < routes; ++i) {
+    const RouteTable::Span r = logged[i];
+    for (std::size_t k = 0; k < r.size; ++k) {
+      const ChannelId c = r.channel(k);
+      touched[count] = c;
+      count += mark[static_cast<std::size_t>(c)] != epoch ? 1 : 0;
+      mark[static_cast<std::size_t>(c)] = epoch;
+    }
+    visits += r.size;
+  }
+  touchedCount_ = count;
+  channelVisits_ += visits;
 }
 
 void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
@@ -349,16 +420,8 @@ void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
     if (u0 == u1 && v0 == v1) return;
     if (cfg_.trackLoads) {
       // Adding f * -bytes is exactly subtracting f * bytes.
-      const auto apply = [&](NodeId src, NodeId dst, double bytes) {
-        routes_->find(src, dst).forEachChannel(
-            [&](ChannelId c, const double* first, const double* last) {
-              touchChannel(c);
-              double& d = delta_[static_cast<std::size_t>(c)];
-              d = addFractions(d, first, last, bytes);
-            });
-      };
-      if (u0 != v0) apply(u0, v0, -f.bytes);
-      if (u1 != v1) apply(u1, v1, f.bytes);
+      if (u0 != v0) accumulateRoute(u0, v0, -f.bytes);
+      if (u1 != v1) accumulateRoute(u1, v1, f.bytes);
     }
     if (cfg_.trackHopBytes) {
       hbDelta += f.bytes * static_cast<double>(topo_->distance(u1, v1)) -
@@ -379,7 +442,10 @@ void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
   if (cfg_.trackHopBytes) {
     pendingSummary_.hopBytes = cur_.hopBytes + hbDelta;
   }
-  if (cfg_.trackLoads) probeLoadStats();
+  if (cfg_.trackLoads) {
+    markTouched();
+    probeLoadStats();
+  }
 }
 
 void DeltaPlacementEval::probeLoadStats() {
@@ -398,11 +464,15 @@ void DeltaPlacementEval::probeLoadStats() {
       }
     }
   }
+  // Touched channels in first-touch order; reading a delta clears it.
   double sq = cur_.sumSquares;
-  for (const ChannelId c : touched_) {
+  for (std::size_t i = 0; i < touchedCount_; ++i) {
+    const ChannelId c = touched_[i];
     const auto idx = static_cast<std::size_t>(c);
     const double oldV = loads_[idx];
     const double newV = scrubResidue(oldV + delta_[idx], peak_[idx]);
+    delta_[idx] = 0.0;
+    newLoads_[i] = newV;
     if (newV > mx) {
       mx = newV;
       at = c;
@@ -425,6 +495,8 @@ const DeltaPlacementEval::Summary& DeltaPlacementEval::probeSwap(RankId a,
 
 const DeltaPlacementEval::Summary& DeltaPlacementEval::probeMove(RankId a,
                                                                  NodeId node) {
+  RAHTM_REQUIRE(node >= 0 && node < topo_->numNodes(),
+                "probeMove: node out of range");
   beginProbe(Pending::Move, a, kInvalidRank, node);
   probeFlows(a, kInvalidRank, node, kInvalidNode);
   return pendingSummary_;
@@ -433,14 +505,11 @@ const DeltaPlacementEval::Summary& DeltaPlacementEval::probeMove(RankId a,
 void DeltaPlacementEval::commit() {
   RAHTM_REQUIRE(pending_ != Pending::None, "commit: no pending probe");
   if (cfg_.trackLoads) {
-    for (const ChannelId c : touched_) {
-      const auto idx = static_cast<std::size_t>(c);
-      const double oldV = loads_[idx];
-      // Same arithmetic as the probe: commit is bit-identical by
-      // construction.
-      const double newV = scrubResidue(oldV + delta_[idx], peak_[idx]);
-      loads_[idx] = newV;
-      peak_[idx] = std::max(peak_[idx], std::abs(newV));
+    // The probe's own loads: commit is bit-identical by construction.
+    for (std::size_t i = 0; i < touchedCount_; ++i) {
+      const auto idx = static_cast<std::size_t>(touched_[i]);
+      loads_[idx] = newLoads_[i];
+      peak_[idx] = std::max(peak_[idx], std::abs(newLoads_[i]));
     }
     maxChannel_ = pendingMaxChannel_;
   }

@@ -20,6 +20,20 @@
 ///    squared loads (the MCL plateau tie-breaker) and hop-bytes are
 ///    maintained as running values with O(touched)/O(degree) deltas.
 ///
+/// Route kernel: addRoute() adds one route into a dense per-channel array.
+/// It runs several channels side by side in independent lanes, each lane
+/// repeating its channel's one fraction·bytes addition multiplicity times,
+/// so every cell receives exactly the additions of the enumeration.
+///
+/// A probe accumulates its flows' old routes (negated) and new routes into
+/// a delta array that is zero at rest, with no per-channel test, and logs
+/// the routes in order. One branch-free pass over the logged routes'
+/// channels then marks each channel with the probe's epoch and recovers
+/// the touched channels in first-touch order: flows in incidence order,
+/// old route before new. The statistics pass reads and clears each touched
+/// delta in that order, which fixes the order of the sum of squares'
+/// additions, and commit writes the probe's new loads back.
+///
 /// Exact probe max: a probe's MCL is the max of its touched channels' new
 /// loads and the max over the untouched ones. The engine remembers one
 /// channel holding the current MCL; when the probe leaves that channel
@@ -56,14 +70,16 @@ namespace rahtm {
 /// classes on a torus and prod(2k-1) on a mesh — and find() translates the
 /// channel ids by the source node. Memory is O(N), not O(N^2).
 ///
-/// A route is the unit-volume output of forEachUniformMinimalLoad(),
-/// grouped by channel: each channel appears once, in first-appearance
-/// order, with its fractions in enumeration order. A route on a 2-ary cube
-/// reports each channel about eight times, so a reader resolves and marks a
-/// channel once instead of per fraction. The fractions are deliberately not
-/// summed: adding them to a channel one at a time, in order
-/// (addFractions()), performs exactly the additions of the enumeration, so
-/// table-based loads are bit-identical to placementLoads(). A pre-summed
+/// A route is the unit-volume output of forEachUniformMinimalLoad() with
+/// one entry per channel, in first-appearance order: the channel's fraction
+/// and its multiplicity, the number of times the enumeration reports it.
+/// The enumeration reports a channel once per tie-direction combo crossing
+/// it, always from the same lattice position, and its fraction is a
+/// function of that position alone, so every repeat carries the same
+/// fraction bit for bit; the build checks this. Adding fraction·bytes
+/// multiplicity times (addRoute()) therefore performs exactly the additions
+/// of the enumeration, and table-based loads are bit-identical to
+/// placementLoads(). The fractions are deliberately not summed: a summed
 /// fraction regroups the floating-point sum, and ulp-level differences flip
 /// ties in the searches built on these loads.
 class RouteTable {
@@ -76,31 +92,20 @@ class RouteTable {
   /// One route, translated to its source.
   class Span {
    public:
-    const double* fracs = nullptr;  ///< every fraction, grouped by channel
-    std::size_t size = 0;           ///< number of fractions
+    const double* fracs = nullptr;  ///< each channel's fraction
+    std::size_t size = 0;           ///< number of channels
 
-    /// Distinct channels of the route.
-    std::size_t channels() const { return channels_; }
     ChannelId channel(std::size_t k) const { return base_[rel_[k]] + slot_[k]; }
-
-    /// visit(channel, first, last) once per channel, in first-appearance
-    /// order; [first, last) are its fractions in enumeration order.
-    template <typename Visit>
-    void forEachChannel(Visit&& visit) const {
-      std::size_t begin = 0;
-      for (std::size_t k = 0; k < channels_; ++k) {
-        visit(channel(k), fracs + begin, fracs + end_[k]);
-        begin = end_[k];
-      }
-    }
+    /// Times the enumeration reports channel k, each time with fracs[k].
+    unsigned multiplicity(std::size_t k) const { return mult_[k]; }
 
    private:
     friend class RouteTable;
-    std::size_t channels_ = 0;
+    friend void addRoute(const Span& r, double bytes, double* cells);
     const ChannelId* base_ = nullptr;     ///< channel bases, at the source
     const std::int32_t* rel_ = nullptr;   ///< node offset from the source
     const std::uint8_t* slot_ = nullptr;  ///< dim * 2 + dir
-    const std::uint32_t* end_ = nullptr;  ///< end of each channel's fractions
+    const std::uint8_t* mult_ = nullptr;  ///< multiplicity of each channel
   };
 
   /// Route of (src,dst). Thread-safe: takes no lock and allocates nothing.
@@ -109,7 +114,7 @@ class RouteTable {
   /// Convenience: a table ready for read-only sharing.
   static std::shared_ptr<const RouteTable> buildFull(const Torus& topo);
 
-  /// Fractions stored over all offset classes.
+  /// (channel, fraction, multiplicity) entries over all offset classes.
   std::size_t entryCount() const { return fracs_.size(); }
 
   /// Bytes charged to the route_table account for this table.
@@ -126,25 +131,20 @@ class RouteTable {
   std::int32_t center_ = 0;            ///< virtual index of offset zero
   std::vector<std::int32_t> routeOf_;  ///< offset class -> route
   std::vector<ChannelId> base_;        ///< virtual node -> first channel id
-  // Route r owns channels [channelStart_[r], channelStart_[r+1]) and
-  // fractions [fracStart_[r], fracStart_[r+1]) of the arenas below.
-  std::vector<std::int64_t> channelStart_;
-  std::vector<std::int64_t> fracStart_;
-  // Arenas (structure of arrays): every route's channels, then fractions.
+  // Route r owns entries [start_[r], start_[r+1]) of the arenas below
+  // (structure of arrays, one entry per channel).
+  std::vector<std::int64_t> start_;
   std::vector<std::int32_t> rel_;
   std::vector<std::uint8_t> slot_;
-  std::vector<std::uint32_t> end_;  ///< relative to the route's fractions
+  std::vector<std::uint8_t> mult_;
   std::vector<double> fracs_;
   obs::MemAccount mem_{obs::MemAccountId::RouteTable};
 };
 
-/// \p cell plus `f * bytes` for each fraction f in [first, last), added one
-/// at a time in order: the enumeration's own arithmetic for one channel.
-inline double addFractions(double cell, const double* first, const double* last,
-                           double bytes) {
-  for (; first != last; ++first) cell += *first * bytes;
-  return cell;
-}
+/// Adds route \p r carrying \p bytes into the dense per-channel array
+/// \p cells: `r.fracs[k] * bytes`, added r.multiplicity(k) times to cell
+/// r.channel(k) — the enumeration's own additions for each cell.
+void addRoute(const RouteTable::Span& r, double bytes, double* cells);
 
 /// Provider of immutable, shareable per-topology / per-graph artifacts.
 /// The solver phases take a non-owning pointer (null = build locally, the
@@ -180,7 +180,8 @@ struct DeltaEvalConfig {
 /// `probeMove` return the statistics the placement WOULD have after the
 /// move without observably changing any state; `commit()` adopts the most
 /// recent probe in O(touched channels). A probe that is not committed costs
-/// nothing further — the next probe simply overwrites the pending delta.
+/// nothing further: it leaves the delta array zero, and the next probe
+/// overwrites the pending candidate loads.
 class DeltaPlacementEval {
  public:
   using Config = DeltaEvalConfig;
@@ -236,13 +237,17 @@ class DeltaPlacementEval {
   /// Probes that touched the remembered max channel and so swept the
   /// untouched loads for their max.
   std::uint64_t maskedSweeps() const { return maskedSweeps_; }
+  /// Route channels accumulated by probes (a channel counts once per route
+  /// that crosses it).
+  std::uint64_t channelVisits() const { return channelVisits_; }
 
  private:
   enum class Pending { None, Swap, Move };
 
   void beginProbe(Pending kind, RankId a, RankId b, NodeId node);
-  void touchChannel(ChannelId c);
   void probeFlows(RankId a, RankId b, NodeId nodeA, NodeId nodeB);
+  void accumulateRoute(NodeId src, NodeId dst, double bytes);
+  void markTouched();
   void probeLoadStats();
   void sweepStats();
 
@@ -263,10 +268,16 @@ class DeltaPlacementEval {
   /// carries a positive load.
   ChannelId maxChannel_ = kInvalidChannel;
 
-  // Pending probe: touched channels with their candidate loads.
-  std::vector<ChannelId> touched_;
-  std::vector<double> delta_;           ///< dense per-channel probe delta
-  std::vector<std::uint32_t> mark_;     ///< epoch stamp per channel
+  // Pending probe: the routes it added to delta_ (zero at rest), in order,
+  // then the touched channels in first-touch order with their candidate
+  // loads.
+  std::vector<double> delta_;                 ///< dense per-channel delta
+  std::vector<RouteTable::Span> probeRoutes_;  ///< [0, routeCount_)
+  std::size_t routeCount_ = 0;
+  std::vector<ChannelId> touched_;  ///< [0, touchedCount_): distinct
+  std::vector<double> newLoads_;    ///< candidate load of each touched
+  std::size_t touchedCount_ = 0;
+  std::vector<std::uint32_t> mark_;  ///< epoch stamp per channel
   std::uint32_t epoch_ = 0;
   Pending pending_ = Pending::None;
   RankId pendA_ = kInvalidRank;
@@ -280,6 +291,7 @@ class DeltaPlacementEval {
   std::uint64_t commits_ = 0;
   std::uint64_t denseSweeps_ = 0;
   std::uint64_t maskedSweeps_ = 0;
+  std::uint64_t channelVisits_ = 0;
   obs::MemAccount mem_{obs::MemAccountId::Mapper};
 };
 

@@ -22,12 +22,35 @@ Shape parseShapeSpec(const std::string& spec) {
   return shape;
 }
 
-std::int64_t intMember(const obs::JsonValue& doc, const std::string& key,
-                       std::int64_t fallback) {
+/// \p v as a T: a finite, integral number inside T's range, else a
+/// ParseError naming \p name. Checked before the cast, which would be
+/// undefined behaviour on an out-of-range value.
+template <typename T>
+T checkedInt(const obs::JsonValue& v, const std::string& name) {
+  if (!v.isNumber()) {
+    throw ParseError("request member '" + name + "' must be a number");
+  }
+  // [lo, hi) in doubles: both bounds are exact powers of two (or zero).
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  const double x = v.number;
+  if (!std::isfinite(x) || std::trunc(x) != x || x < lo || x >= hi) {
+    throw ParseError("request member '" + name +
+                     "' must be an integer in [" +
+                     std::to_string(std::numeric_limits<T>::min()) + ", " +
+                     std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(x);
+}
+
+/// Member \p key of \p doc as a T (see checkedInt), or \p fallback when
+/// absent; errors name it \p prefix + \p key.
+template <typename T>
+T intMember(const obs::JsonValue& doc, const std::string& key, T fallback,
+            const std::string& prefix = "") {
   const obs::JsonValue* v = doc.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->isNumber()) throw ParseError("request member '" + key + "' must be a number");
-  return static_cast<std::int64_t>(v->number);
+  return v == nullptr ? fallback : checkedInt<T>(*v, prefix + key);
 }
 
 bool boolMember(const obs::JsonValue& doc, const std::string& key,
@@ -55,29 +78,25 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
   const std::string machine = doc.stringOr("machine", "");
   if (machine.empty()) throw ParseError("request missing 'machine'");
   req.machine = parseShapeSpec(machine);
-  req.concentration =
-      static_cast<int>(intMember(doc, "concentration", req.concentration));
+  req.concentration = intMember(doc, "concentration", req.concentration);
   req.benchmark = doc.stringOr("benchmark", req.benchmark);
   req.messageBytes = intMember(doc, "bytes", req.messageBytes);
   req.mapper = doc.stringOr("mapper", req.mapper);
-  const std::int64_t beam = intMember(doc, "beam", req.beamWidth);
-  if (beam < 1 || beam > std::numeric_limits<int>::max()) {
+  req.beamWidth = intMember(doc, "beam", req.beamWidth);
+  if (req.beamWidth < 1) {
     throw ParseError("request member 'beam' must be a positive int");
   }
-  req.beamWidth = static_cast<int>(beam);
   req.enableMerge = boolMember(doc, "merge", req.enableMerge);
   req.finalRefinement = boolMember(doc, "refine", req.finalRefinement);
-  req.leafMilpVerts =
-      static_cast<int>(intMember(doc, "leaf_milp", req.leafMilpVerts));
-  req.threads = static_cast<int>(intMember(doc, "threads", req.threads));
-  req.seed = static_cast<std::uint64_t>(
-      intMember(doc, "seed", static_cast<std::int64_t>(req.seed)));
+  req.leafMilpVerts = intMember(doc, "leaf_milp", req.leafMilpVerts);
+  req.threads = intMember(doc, "threads", req.threads);
+  req.seed = intMember(doc, "seed", req.seed);
   const std::string grid = doc.stringOr("grid", "");
   if (!grid.empty()) req.grid = parseShapeSpec(grid);
 
   if (const obs::JsonValue* g = doc.find("graph")) {
     if (!g->isObject()) throw ParseError("request 'graph' must be an object");
-    const auto ranks = static_cast<RankId>(intMember(*g, "ranks", 0));
+    const auto ranks = intMember<RankId>(*g, "ranks", 0, "graph.");
     if (ranks <= 0) throw ParseError("graph.ranks must be positive");
     req.graph = CommGraph(ranks);
     const obs::JsonValue* flows = g->find("flows");
@@ -85,12 +104,11 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
       throw ParseError("graph.flows must be an array");
     }
     for (const obs::JsonValue& f : flows->array) {
-      if (!f.isArray() || f.array.size() != 3 || !f.array[0].isNumber() ||
-          !f.array[1].isNumber() || !f.array[2].isNumber()) {
+      if (!f.isArray() || f.array.size() != 3 || !f.array[2].isNumber()) {
         throw ParseError("graph.flows entries must be [src,dst,bytes]");
       }
-      req.graph.addFlow(static_cast<RankId>(f.array[0].number),
-                        static_cast<RankId>(f.array[1].number),
+      req.graph.addFlow(checkedInt<RankId>(f.array[0], "graph.flows src"),
+                        checkedInt<RankId>(f.array[1], "graph.flows dst"),
                         static_cast<Volume>(f.array[2].number));
     }
     req.hasGraph = true;

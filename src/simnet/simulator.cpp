@@ -789,7 +789,6 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
   const RouteTable routes(topo);
   std::vector<double> total(slots, 0.0);
   std::vector<double> stage(slots, 0.0);
-  std::vector<ChannelId> touched;
   std::vector<std::int64_t> inj(nodes, 0);
   std::vector<std::int64_t> loc(nodes, 0);
   const auto ceilDiv = [](std::int64_t a, std::int64_t b) {
@@ -824,12 +823,8 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
       r.networkFlits += flits;
       const std::int32_t dist = topo.distance(srcNode, dstNode);
       r.flitHops += flits * dist;
-      routes.find(srcNode, dstNode).forEachChannel(
-          [&](ChannelId id, const double* first, const double* last) {
-            double& load = stage[static_cast<std::size_t>(id)];
-            if (load == 0.0) touched.push_back(id);
-            load = addFractions(load, first, last, static_cast<double>(flits));
-          });
+      addRoute(routes.find(srcNode, dstNode), static_cast<double>(flits),
+               stage.data());
       // Store-and-forward critical path of the message alone: full
       // serialization through the NIC, then the trailing packet crosses
       // dist links at one flit per cycle per link.
@@ -838,9 +833,13 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
                             static_cast<std::int64_t>(dist) *
                                 std::min<std::int64_t>(cfg.packetFlits, flits));
     }
+    // One dense pass closes the stage: a channel no message crossed holds
+    // zero, which moves neither the bound nor its running total.
     double chBound = 0;
-    for (const ChannelId c : touched) {
-      chBound = std::max(chBound, stage[static_cast<std::size_t>(c)]);
+    for (std::size_t c = 0; c < slots; ++c) {
+      chBound = std::max(chBound, stage[c]);
+      total[c] += stage[c];
+      stage[c] = 0.0;
     }
     std::int64_t injBound = 0;
     std::int64_t locBound = 0;
@@ -856,11 +855,6 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
         static_cast<std::int64_t>(std::ceil(chBound));
     stageCycles = std::max({stageCycles, injBound, locBound, maxLat});
     r.cycles += stageCycles;
-    for (const ChannelId c : touched) {
-      total[static_cast<std::size_t>(c)] += stage[static_cast<std::size_t>(c)];
-      stage[static_cast<std::size_t>(c)] = 0.0;
-    }
-    touched.clear();
   }
 
   if (cfg.linkCapture != nullptr) {

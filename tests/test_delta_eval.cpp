@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
@@ -48,21 +49,32 @@ std::vector<NodeId> randomPlacement(std::size_t verts, std::int64_t nodes,
   return perm;
 }
 
-/// The (channel, fraction) entries of \p r, channel by channel.
-std::vector<std::pair<ChannelId, double>> spanEntries(
-    const RouteTable::Span& r) {
-  std::vector<std::pair<ChannelId, double>> out;
-  r.forEachChannel([&](ChannelId c, const double* first, const double* last) {
-    for (; first != last; ++first) out.emplace_back(c, *first);
-  });
+/// A (channel, fraction bit pattern) entry of a route.
+using BitEntry = std::pair<ChannelId, std::uint64_t>;
+
+BitEntry bitEntry(ChannelId c, double f) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &f, sizeof bits);
+  return {c, bits};
+}
+
+/// The entries of \p r expanded: each channel's fraction repeated its
+/// multiplicity times, channel by channel.
+std::vector<BitEntry> expandedEntries(const RouteTable::Span& r) {
+  std::vector<BitEntry> out;
+  for (std::size_t k = 0; k < r.size; ++k) {
+    out.insert(out.end(), r.multiplicity(k), bitEntry(r.channel(k), r.fracs[k]));
+  }
   return out;
 }
 
-// Translation is exact: every route read from the table equals
-// forEachUniformMinimalLoad's unit-volume enumeration grouped by channel —
-// channels in first-appearance order, each channel's fractions in
-// enumeration order, bit for bit — on torus, mesh, mixed wrap, odd and
-// radix-2 extents, an extent-1 dimension and a long ring.
+// Translation is exact and the (fraction, multiplicity) entries lose
+// nothing: every route read from the table, each entry expanded to its
+// multiplicity, equals forEachUniformMinimalLoad's unit-volume enumeration
+// grouped by channel — channels in first-appearance order, each channel's
+// fractions in enumeration order, every entry compared bit for bit — on
+// torus, mesh, mixed wrap, odd and radix-2 extents, 4-ary ties, an
+// extent-1 dimension and a long ring.
 TEST(RouteTable, TranslatedRoutesMatchEnumeration) {
   const std::vector<Torus> topos = {
       Torus::torus({3, 2, 4}),
@@ -70,6 +82,7 @@ TEST(RouteTable, TranslatedRoutesMatchEnumeration) {
       Torus::mixed({4, 4, 2}, {1, 0, 1}),
       Torus::torus({3, 5, 4}),
       Torus::torus({2, 2, 2, 2, 2}),
+      Torus::torus({4, 4, 2}),
       Torus::mixed({3, 1, 4}, {1, 1, 0}),
       Torus::torus({300}),
   };
@@ -81,25 +94,64 @@ TEST(RouteTable, TranslatedRoutesMatchEnumeration) {
       for (NodeId d = 0; d < n; ++d) {
         // The enumeration, grouped by channel in first-appearance order.
         std::map<ChannelId, std::size_t> groupOf;
-        std::vector<std::vector<std::pair<ChannelId, double>>> groups;
+        std::vector<std::vector<BitEntry>> groups;
         forEachUniformMinimalLoad(
             t, t.coordOf(s), t.coordOf(d), 1.0, [&](ChannelId c, double f) {
               const auto [it, fresh] = groupOf.emplace(c, groups.size());
               if (fresh) groups.emplace_back();
-              groups[it->second].emplace_back(c, f);
+              groups[it->second].push_back(bitEntry(c, f));
             });
-        std::vector<std::pair<ChannelId, double>> want;
+        std::vector<BitEntry> want;
         for (const auto& g : groups) {
           want.insert(want.end(), g.begin(), g.end());
         }
         const RouteTable::Span got = table->find(s, d);
-        if (spanEntries(got) != want || got.size != want.size() ||
-            got.channels() != groups.size()) {
+        if (expandedEntries(got) != want || got.size != groups.size()) {
           ++mismatches;
         }
       }
     }
     EXPECT_EQ(mismatches, 0) << t.describe();
+  }
+}
+
+// One entry per channel: a 2-ary 5-cube's 6,250 reported fractions are
+// 810 entries, and a 4-ary tie gives channels of differing multiplicity
+// within one route.
+TEST(RouteTable, OneEntryPerChannel) {
+  EXPECT_EQ(RouteTable::buildFull(Torus::torus({2, 2, 2, 2, 2}))->entryCount(),
+            810u);
+  const Torus t = Torus::torus({4, 4});
+  const auto table = RouteTable::buildFull(t);
+  const RouteTable::Span r =
+      table->find(t.nodeId(Coord{0, 0}), t.nodeId(Coord{2, 2}));
+  std::vector<unsigned> mults;
+  for (std::size_t k = 0; k < r.size; ++k) mults.push_back(r.multiplicity(k));
+  EXPECT_EQ(*std::min_element(mults.begin(), mults.end()), 1u);
+  EXPECT_EQ(*std::max_element(mults.begin(), mults.end()), 2u);
+}
+
+// The kernel adds each entry's fraction·bytes multiplicity times, starting
+// from the cell's value, exactly like adding the enumeration's entries one
+// by one.
+TEST(RouteTable, AddRouteRepeatsEnumerationAdditions) {
+  const Torus t = Torus::torus({4, 4, 2});
+  const auto table = RouteTable::buildFull(t);
+  const auto slots = static_cast<std::size_t>(t.numChannelSlots());
+  Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto s = static_cast<NodeId>(rng.nextBounded(32));
+    const auto d = static_cast<NodeId>(rng.nextBounded(32));
+    const double bytes = static_cast<double>(rng.nextBounded(999) + 1) * 0.37;
+    std::vector<double> want(slots);
+    for (double& v : want) v = rng.nextDouble() * 1000.0;
+    std::vector<double> got = want;
+    forEachUniformMinimalLoad(t, t.coordOf(s), t.coordOf(d), 1.0,
+                              [&](ChannelId c, double f) {
+                                want[static_cast<std::size_t>(c)] += f * bytes;
+                              });
+    addRoute(table->find(s, d), bytes, got.data());
+    EXPECT_EQ(got, want) << s << " -> " << d;
   }
 }
 
@@ -323,6 +375,92 @@ TEST(DeltaEval, ExactMaxReportsTiedChannelWhenRememberedOneDrops) {
   EXPECT_EQ(back.mcl, 10.0);
 }
 
+/// Folds the bit pattern of \p v into \p h.
+std::uint64_t foldBits(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  h = (h ^ bits) * 0x100000001b3ull;
+  return h ^ (h >> 29);
+}
+
+/// Hash of every probe's MCL and sum of squares and of the final loads over
+/// a seeded walk of swaps and moves, about half of them committed.
+std::uint64_t walkHash(const Torus& t, std::size_t verts, int steps,
+                       std::uint64_t seed) {
+  Rng rng(seed);
+  const CommGraph g = randomGraph(static_cast<RankId>(verts), 4 * verts, rng);
+  auto place = randomPlacement(verts, t.numNodes(), rng);
+  std::vector<NodeId> empty;
+  for (NodeId n = 0; n < t.numNodes(); ++n) {
+    if (std::find(place.begin(), place.end(), n) == place.end()) {
+      empty.push_back(n);
+    }
+  }
+  DeltaPlacementEval eval(t, g, place);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int step = 0; step < steps; ++step) {
+    const auto a = static_cast<RankId>(rng.nextBounded(verts));
+    const bool move = rng.nextBounded(2) == 0;
+    const auto hole = static_cast<std::size_t>(rng.nextBounded(empty.size()));
+    DeltaPlacementEval::Summary s;
+    if (move) {
+      s = eval.probeMove(a, empty[hole]);
+    } else {
+      auto b = static_cast<RankId>(rng.nextBounded(verts));
+      while (b == a) b = static_cast<RankId>(rng.nextBounded(verts));
+      s = eval.probeSwap(a, b);
+    }
+    h = foldBits(foldBits(h, s.mcl), s.sumSquares);
+    if (rng.nextBounded(2) == 0) continue;  // rejected
+    const NodeId vacated = eval.placement()[static_cast<std::size_t>(a)];
+    eval.commit();
+    if (move) empty[hole] = vacated;
+  }
+  for (const double v : eval.loads()) h = foldBits(h, v);
+  return h;
+}
+
+// Bit-exactness pin: the probe statistics and final loads of fixed walks,
+// recorded before routes were stored as (fraction, multiplicity) entries
+// and accumulated in lanes. Any change to a single addition's order or
+// operands changes a hash. The tori cover uniform multiplicities (2-ary)
+// and mixed ones (4-ary ties); the mesh has multiplicity 1 throughout.
+TEST(DeltaEval, PinnedWalkHashes) {
+  struct Case {
+    Torus topo;
+    std::size_t verts;
+    std::uint64_t want;
+  };
+  const std::vector<Case> cases = {
+      {Torus::torus({2, 2, 2, 2, 2}), 28, 0x28cba41361d55256ull},
+      {Torus::torus({4, 4, 2}), 26, 0xf03a8d7168469d44ull},
+      {Torus::mesh({3, 3, 3}), 22, 0xa0eb30baad97745eull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(walkHash(c.topo, c.verts, 600, 0x5eed + c.verts), c.want)
+        << c.topo.describe();
+  }
+}
+
+// channelVisits() counts a probe's route channels: each channel once per
+// route that crosses it, the old route and the new one alike.
+TEST(DeltaEval, ChannelVisitsCountRouteChannels) {
+  const Torus t = Torus::mesh({3, 3});
+  CommGraph g(2);
+  g.addFlow(0, 1, 10);
+  const std::vector<NodeId> place = {t.nodeId(Coord{0, 0}),
+                                     t.nodeId(Coord{1, 0})};
+  DeltaPlacementEval eval(t, g, place);
+  EXPECT_EQ(eval.channelVisits(), 0u);
+  // One hop (1 channel) becomes a diagonal (4 channels over two paths).
+  eval.probeMove(1, t.nodeId(Coord{1, 1}));
+  EXPECT_EQ(eval.channelVisits(), 5u);
+  eval.commit();
+  // The diagonal (4 channels) becomes two hops in a line (2 channels).
+  eval.probeMove(1, t.nodeId(Coord{2, 0}));
+  EXPECT_EQ(eval.channelVisits(), 11u);
+}
+
 TEST(DeltaEval, RejectedProbesDoNotMutate) {
   const Torus t = Torus::torus({3, 3, 2});
   Rng rng(7);
@@ -531,6 +669,7 @@ TEST(DeltaEval, AnnealDeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial.iterations, parallel.iterations);
     EXPECT_EQ(serial.probes, parallel.probes);
     EXPECT_EQ(serial.commits, parallel.commits);
+    EXPECT_EQ(serial.channelVisits, parallel.channelVisits);
   }
 }
 

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -67,12 +69,10 @@ TEST(ArtifactCache, RouteTableSharedAndContentIdentical) {
       const RouteTable::Span a = first->find(src, dst);
       const RouteTable::Span b = local->find(src, dst);
       ASSERT_EQ(a.size, b.size);
-      ASSERT_EQ(a.channels(), b.channels());
-      for (std::size_t k = 0; k < a.channels(); ++k) {
+      for (std::size_t k = 0; k < a.size; ++k) {
         EXPECT_EQ(a.channel(k), b.channel(k));
-      }
-      for (std::size_t i = 0; i < a.size; ++i) {
-        EXPECT_EQ(a.fracs[i], b.fracs[i]);
+        EXPECT_EQ(a.fracs[k], b.fracs[k]);
+        EXPECT_EQ(a.multiplicity(k), b.multiplicity(k));
       }
     }
   }
@@ -363,6 +363,47 @@ TEST(Protocol, MalformedRequestsThrow) {
           R"({"schema":"rahtm.serve.request/v1","machine":"2x2",)"
           R"("graph":{"ranks":4,"flows":[[0,1]]}})"),
       ParseError);
+  // Numbers are checked before any cast: a non-integral, non-finite or
+  // out-of-range value is a ParseError naming the member, never a
+  // truncated or wrapped value (or undefined behaviour).
+  const std::string head =
+      R"({"schema":"rahtm.serve.request/v1","machine":"2x2",)";
+  for (const auto& [member, body] : std::vector<std::pair<std::string, std::string>>{
+           {"concentration", R"("concentration":4294967298})"},
+           {"concentration", R"("concentration":2.5})"},
+           {"concentration", R"("concentration":1e20})"},
+           {"concentration", R"("concentration":-2147483649})"},
+           {"bytes", R"("bytes":1e19})"},
+           {"bytes", R"("bytes":4096.5})"},
+           {"leaf_milp", R"("leaf_milp":4294967300})"},
+           {"threads", R"("threads":1e300})"},
+           {"seed", R"("seed":-1})"},
+           {"seed", R"("seed":18446744073709551616})"},
+           {"seed", R"("seed":0.5})"},
+           {"beam", R"("beam":64.5})"},
+           {"graph.ranks",
+            R"("graph":{"ranks":4294967300,"flows":[[0,1,8]]}})"},
+           {"graph.ranks", R"("graph":{"ranks":4.5,"flows":[[0,1,8]]}})"},
+           {"graph.flows src",
+            R"("graph":{"ranks":4,"flows":[[1e19,1,8]]}})"},
+           {"graph.flows dst",
+            R"("graph":{"ranks":4,"flows":[[0,4294967297,8]]}})"},
+           {"graph.flows dst", R"("graph":{"ranks":4,"flows":[[0,1.5,8]]}})"},
+       }) {
+    try {
+      serve::parseMapRequestLine(head + body);
+      ADD_FAILURE() << body << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + member + "'"),
+                std::string::npos)
+          << body << ": " << e.what();
+    }
+  }
+  // Values at the edges of their types still parse.
+  const serve::MapRequest ok = serve::parseMapRequestLine(
+      head + R"("seed":18446744073709549568,"concentration":2147483647})");
+  EXPECT_EQ(ok.seed, 18446744073709549568ull);
+  EXPECT_EQ(ok.concentration, std::numeric_limits<int>::max());
 }
 
 TEST(Protocol, ResponseRoundTripValidates) {
