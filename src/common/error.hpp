@@ -5,6 +5,7 @@
 /// programming and input errors, and use RAHTM_REQUIRE for precondition
 /// checks that must stay active in release builds.
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -35,9 +36,22 @@ class InfeasibleError : public Error {
 };
 
 namespace detail {
+/// \p file from its last `src/` component on, so an error names the source
+/// file without the absolute location of the checkout it was built in.
+inline const char* sourcePath(const char* file) {
+  const char* from = file;
+  for (const char* p = file; *p != '\0'; ++p) {
+    if ((p == file || p[-1] == '/') && std::strncmp(p, "src/", 4) == 0) {
+      from = p;
+    }
+  }
+  return from;
+}
+
 [[noreturn]] inline void requireFailed(const char* expr, const char* file,
                                        int line, const std::string& msg) {
-  throw PreconditionError(std::string(file) + ":" + std::to_string(line) +
+  throw PreconditionError(std::string(sourcePath(file)) + ":" +
+                          std::to_string(line) +
                           ": requirement `" + expr + "` failed" +
                           (msg.empty() ? "" : (": " + msg)));
 }

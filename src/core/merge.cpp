@@ -52,6 +52,7 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   span.attr("beam_width", static_cast<std::int64_t>(cfg.beamWidth));
   std::int64_t candidatesEvaluated = 0;
   std::int64_t candidatesScored = 0;
+  std::int64_t candidatesCut = 0;
   RAHTM_REQUIRE(cfg.beamWidth >= 1, "mergeChildren: beam width must be >= 1");
   RAHTM_REQUIRE(!children.empty(), "mergeChildren: no children");
   RAHTM_REQUIRE(childShape.size() == regionTopo.ndims() &&
@@ -248,7 +249,8 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
 
   // Visit (na, nb, bytes) for every flow of child ci that connects two
   // distinct placed nodes once ci sits at childPos on top of entry
-  // (co-located flows add neither load nor hop-bytes).
+  // (co-located flows add neither load nor hop-bytes), until visit returns
+  // false.
   const auto forPlacedFlows = [&](const BeamEntry& entry, std::size_t ci,
                                   auto&& visit) {
     const auto nodeOf = [&](std::size_t cluster) {
@@ -261,22 +263,45 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
       const NodeId na = nodeOf(f.a);
       const NodeId nb = nodeOf(f.b);
       if (na == kInvalidNode || nb == kInvalidNode || na == nb) continue;
-      visit(na, nb, f.bytes);
+      if (!visit(na, nb, f.bytes)) return;
     }
   };
-  // Objective of placing child ci at childPos on top of entry.
-  const auto scoreChild = [&](const BeamEntry& entry, std::size_t ci) {
+  // Objective of placing child ci at childPos on top of entry, or +inf
+  // once it provably exceeds \p bar. Loads only grow as routes are added
+  // (bytes >= 0, and rounded addition is monotone), so a channel of the
+  // candidate above the bar puts its final objective above the bar too.
+  constexpr double kNoBar = std::numeric_limits<double>::infinity();
+  const auto scoreChild = [&](const BeamEntry& entry, std::size_t ci,
+                              double bar) {
     ++candidatesScored;
     if (!useLoads) {
       double hb = entry.hopBytes;
       forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
         hb += bytes * regionTopo.distance(na, nb);
+        return true;
       });
       return hb;
     }
+    if (entry.maxLoad > bar) {
+      ++candidatesCut;
+      return kNoBar;
+    }
     added.clear();
+    bool over = false;
     forPlacedFlows(entry, ci, [&](NodeId na, NodeId nb, double bytes) {
       addChildRoute(na, nb, bytes);
+      if (bar == kNoBar) return true;
+      // Only channels the child loads count (see below): an entry load can
+      // exceed entry.maxLoad by a few ulps.
+      const RouteTable::Span& r = added.back();
+      for (std::size_t k = 0; k < r.size; ++k) {
+        const auto c = static_cast<std::size_t>(r.channel(k));
+        if (childLoads[c] != 0.0 && entry.loads[c] + childLoads[c] > bar) {
+          over = true;
+          return false;
+        }
+      }
+      return true;
     });
     // max(partial + delta) == max(partialMax, max over the channels the
     // child's flows load). A channel on several routes reads the cleared
@@ -291,6 +316,10 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         }
         childLoads[c] = 0.0;
       }
+    }
+    if (over) {
+      ++candidatesCut;
+      return kNoBar;
     }
     return m;
   };
@@ -363,8 +392,15 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         for (std::size_t oi = 0; oi < orients.size(); ++oi) {
           const std::size_t first = firstOfLayout[oi];
           if (first == oi) {
+            // A full beam rejects only objectives above its worst survivor
+            // (a tie is inserted). The bar only falls, so the layout's
+            // other orientations reuse a +inf.
+            const double bar =
+                best.size() >= static_cast<std::size_t>(cfg.beamWidth)
+                    ? best.back().objective
+                    : kNoBar;
             placeChild(ci, orients[oi], slot, childPos);
-            layoutScore[oi] = scoreChild(entry, ci);
+            layoutScore[oi] = scoreChild(entry, ci, bar);
           }
           consider({bi, oi, slotId, layoutScore[first]});
         }
@@ -381,7 +417,7 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
     // solution survives to the end.
     placeChildPin(ci, childPos);
     best.push_back({pinnedLineage, kPinOrient, pinnedSlot,
-                    scoreChild(beam[pinnedLineage], ci)});
+                    scoreChild(beam[pinnedLineage], ci, kNoBar)});
     ++candidatesEvaluated;
 
     // Materialize survivors into the next beam.
@@ -406,6 +442,7 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
         forPlacedFlows(beam[c.parent], ci,
                        [&](NodeId na, NodeId nb, double bytes) {
                          addRoute(routes->find(na, nb), bytes, e.loads.data());
+                         return true;
                        });
         e.maxLoad = c.objective;
       } else {
@@ -453,11 +490,13 @@ MergeResult mergeChildren(const Torus& regionTopo, const Shape& childShape,
   }
   span.attr("candidates", candidatesEvaluated);
   span.attr("scored", candidatesScored);
+  span.attr("cut", candidatesCut);
   span.attr("objective", result.objective);
   if (obs::MetricsRegistry* reg = obs::metrics()) {
     reg->counter("rahtm.merge.regions").add(1);
     reg->counter("rahtm.merge.candidates").add(candidatesEvaluated);
     reg->counter("rahtm.merge.scored").add(candidatesScored);
+    reg->counter("rahtm.merge.cut").add(candidatesCut);
   }
   return result;
 }

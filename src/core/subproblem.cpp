@@ -63,6 +63,12 @@ SubproblemSolution exhaustiveSearch(const CommGraph& g, const Torus& cube,
   return best;
 }
 
+double annealAcceptanceBar(double c0, double tie, double temp, double u) {
+  if (u <= 0) return DeltaPlacementEval::kNoBar;
+  const double m = std::max(tie, -temp * std::log(u));
+  return c0 + m + 1e-12 * (c0 + m + temp);
+}
+
 SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
                                 const SubproblemConfig& cfg,
                                 exec::ThreadPool* pool) {
@@ -97,6 +103,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     std::vector<NodeId> placement;
     long iterations = 0;
     std::uint64_t probes = 0;
+    std::uint64_t cuts = 0;
     std::uint64_t commits = 0;
     std::uint64_t maskedSweeps = 0;
     std::uint64_t channelVisits = 0;
@@ -132,6 +139,11 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
     const std::size_t slots = verts + empty.size();
     if (slots < 2) return;
 
+    // Witness hint per (moved vertex, target slot): the channel holding the
+    // candidate max at that move's last full probe, kept while the move is
+    // rejected. A move without one runs the full probe.
+    std::vector<ChannelId> hints(verts * slots, kInvalidChannel);
+
     // Geometric cooling sized to the initial objective scale.
     double temp = std::max(1e-9, curObj() * 0.25);
     const double cooling = std::pow(
@@ -157,18 +169,29 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
       }
       ++out.iterations;
       const bool relocate = t >= verts;
-      const DeltaPlacementEval::Summary& s =
-          relocate ? state.probeMove(a, empty[t - verts])
-                   : state.probeSwap(a, static_cast<RankId>(t));
-      const double cand = ecfg.trackLoads ? s.mcl : s.hopBytes;
-      const double delta = cand - curObj();
       // Objective-neutral moves evaluate to exactly 0 under a from-scratch
       // evaluator but to +-ulps under incremental tracking; real uphill
       // steps are whole route-fraction quanta. Treat the residue band as
       // "not uphill" so a neutral move is accepted without consuming an RNG
       // draw — otherwise the acceptance stream would be resampled on noise.
       const double tie = 1e-9 * std::max(1.0, curObj());
+      // The acceptance bar, from the draw the test below would make (peeked
+      // from a copy, so the stream is unchanged): a candidate above it is
+      // rejected, and a probe that proves it is cut and returns +inf, which
+      // the same test rejects with the same draw.
+      double bar = DeltaPlacementEval::kNoBar;
+      if (ecfg.trackLoads) {
+        Rng peek = rng;
+        bar = annealAcceptanceBar(curObj(), tie, temp, peek.nextDouble());
+      }
+      ChannelId& hint = hints[static_cast<std::size_t>(a) * slots + t];
+      const DeltaPlacementEval::Summary& s =
+          relocate ? state.probeMove(a, empty[t - verts], bar, hint)
+                   : state.probeSwap(a, static_cast<RankId>(t), bar, hint);
+      const double cand = ecfg.trackLoads ? s.mcl : s.hopBytes;
+      const double delta = cand - curObj();
       if (delta <= tie || rng.nextDouble() < std::exp(-delta / temp)) {
+        hint = kInvalidChannel;
         if (relocate) {
           const NodeId vacated = state.placement()[static_cast<std::size_t>(a)];
           state.commit();
@@ -180,10 +203,13 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
           out.objective = curObj();
           out.placement = state.placement();
         }
+      } else if (state.hasPending()) {  // a rejected full probe
+        hint = state.probeMaxChannel();
       }
       temp *= cooling;
     }
     out.probes = state.probes();
+    out.cuts = state.cuts();
     out.commits = state.commits();
     out.maskedSweeps = state.maskedSweeps();
     out.channelVisits = state.channelVisits();
@@ -208,6 +234,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
   for (const RestartResult& r : results) {
     best.iterations += r.iterations;
     best.probes += r.probes;
+    best.cuts += r.cuts;
     best.commits += r.commits;
     best.maskedSweeps += r.maskedSweeps;
     best.channelVisits += r.channelVisits;
@@ -285,6 +312,7 @@ SubproblemSolution solveSubproblem(const CommGraph& g, const Torus& cube,
     if (s.probes != 0) {
       reg->counter("rahtm.anneal.probes")
           .add(static_cast<std::int64_t>(s.probes));
+      reg->counter("rahtm.anneal.cut").add(static_cast<std::int64_t>(s.cuts));
       reg->counter("rahtm.anneal.commits")
           .add(static_cast<std::int64_t>(s.commits));
       reg->counter("rahtm.anneal.masked_sweeps")

@@ -58,9 +58,11 @@ struct SubproblemSolution {
   /// placements evaluated for "exhaustive", proposed moves for "anneal".
   long iterations = 0;
   /// Delta-engine telemetry ("anneal" only): candidate moves evaluated,
-  /// moves committed, probes that swept for their max and route channels
-  /// the probes accumulated, across all restarts.
+  /// probes cut at the acceptance bar, moves committed, probes that swept
+  /// for their max and route channels the probes accumulated, across all
+  /// restarts.
   std::uint64_t probes = 0;
+  std::uint64_t cuts = 0;
   std::uint64_t commits = 0;
   std::uint64_t maskedSweeps = 0;
   std::uint64_t channelVisits = 0;
@@ -76,12 +78,24 @@ double evalPlacement(const CommGraph& g, const Torus& cube,
 SubproblemSolution exhaustiveSearch(const CommGraph& g, const Torus& cube,
                                     MapObjective obj);
 
+/// The anneal's acceptance bar for current objective \p c0, tie band
+/// \p tie, temperature \p temp and the draw \p u in [0, 1) that the
+/// Metropolis test `delta <= tie || u < exp(-delta / temp)` would use on a
+/// candidate delta = candidate - c0. Every candidate above the bar fails
+/// that test, rounding of exp, log and the subtraction included: the bar
+/// is c0 + max(tie, -temp·ln u) plus a margin of 1e-12·(c0 + that + temp).
+/// +inf when u == 0.
+double annealAcceptanceBar(double c0, double tie, double temp, double u);
+
 /// Multi-restart simulated annealing over placements. Moves are pairwise
 /// swaps plus, on partially-filled cubes, vertex-to-empty-node relocations
 /// (without them the nodes left out of the initial random prefix would be
 /// unreachable for the whole search). Restart RNG streams are pre-split by
 /// restart index, so when \p pool is given the restarts run in parallel
-/// with bit-identical results to the serial order.
+/// with bit-identical results to the serial order. Under the MCL objective
+/// each probe carries the acceptance bar of the draw its test would make
+/// (annealAcceptanceBar), so most rejected probes stop at one witness
+/// channel; every decision is the one the full probe would give.
 SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
                                 const SubproblemConfig& cfg,
                                 exec::ThreadPool* pool = nullptr);

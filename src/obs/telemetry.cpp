@@ -51,6 +51,8 @@ void registerStandardMetrics(MetricsRegistry& registry) {
   registry.counter("rahtm.merge.regions");
   registry.counter("rahtm.merge.candidates");
   registry.counter("rahtm.merge.scored");
+  registry.counter("rahtm.merge.cut");
+  registry.counter("rahtm.anneal.cut");
   registry.counter("rahtm.anneal.masked_sweeps");
   registry.counter("rahtm.anneal.channel_visits");
   registry.counter("rahtm.refine.passes");

@@ -186,6 +186,95 @@ RouteTable::Span RouteTable::find(NodeId src, NodeId dst) const {
   return s;
 }
 
+void RouteTable::buildLookup() const {
+  const std::size_t n = topo_.ndims();
+  // Strides of the virtual grid (extent 2k-1) and of the compact relative
+  // grid (extent k in a wrapping dimension, 2k-1 in a mesh one).
+  SmallVec<std::int64_t, kMaxDims> vext(n, 0);
+  SmallVec<std::int64_t, kMaxDims> vstride(n, 0);
+  SmallVec<std::int64_t, kMaxDims> rstride(n, 0);
+  std::int64_t cells = 1;
+  std::int64_t rel = 1;
+  for (std::size_t d = n; d-- > 0;) {
+    const std::int32_t k = topo_.extent(d);
+    vext[d] = 2 * k - 1;
+    vstride[d] = cells;
+    cells *= vext[d];
+    rstride[d] = rel;
+    rel *= topo_.wraps(d) ? k : 2 * k - 1;
+  }
+  relNodes_ = static_cast<std::int32_t>(rel);
+  const auto slots = static_cast<std::int64_t>(2 * n);
+  const auto routes = static_cast<std::int64_t>(start_.size() - 1);
+  RAHTM_REQUIRE(
+      routes * rel * slots <= std::numeric_limits<std::int32_t>::max(),
+      "RouteTable: entry lookup too large");
+  // A stored relative digit (rel_) is already in the compact range.
+  const auto compact = [&](std::int64_t v, bool offset) {
+    std::int64_t out = 0;
+    for (std::size_t d = 0; d < n; ++d) {
+      std::int64_t digit = v / vstride[d] % vext[d];
+      const std::int32_t k = topo_.extent(d);
+      if (offset && topo_.wraps(d)) digit = (digit + 1) % k;  // (o + k) % k
+      out += digit * rstride[d];
+    }
+    return static_cast<std::int32_t>(out);
+  };
+  // relIndex_[center_ + virt(node) - virt(src)]: the node's relative
+  // position from src. Offset digit o + k - 1 maps to (o + k) % k in a
+  // wrapping dimension and stays as is in a mesh one.
+  relIndex_.resize(static_cast<std::size_t>(cells));
+  for (std::int64_t v = 0; v < cells; ++v) {
+    relIndex_[static_cast<std::size_t>(v)] = compact(v, true);
+  }
+  lookup_.assign(static_cast<std::size_t>(routes * rel * slots), -1);
+  for (std::int64_t r = 0; r < routes; ++r) {
+    for (auto e = start_[static_cast<std::size_t>(r)];
+         e < start_[static_cast<std::size_t>(r) + 1]; ++e) {
+      const auto i = static_cast<std::size_t>(e);
+      lookup_[static_cast<std::size_t>((r * rel + compact(rel_[i], false)) *
+                                           slots +
+                                       slot_[i])] =
+          static_cast<std::int32_t>(e);
+    }
+  }
+  lookupMem_.set(static_cast<std::int64_t>(
+      (relIndex_.capacity() + lookup_.capacity()) * sizeof(std::int32_t)));
+}
+
+RouteTable::Locator RouteTable::locate(ChannelId c) const {
+  RAHTM_REQUIRE(c >= 0 && c < topo_.numChannelSlots(),
+                "RouteTable::locate: channel out of range");
+  std::call_once(lookupOnce_, [this] { buildLookup(); });
+  const Torus::ChannelRef ref = topo_.channelRef(c);
+  Locator at;
+  at.table_ = this;
+  at.virt_ = virtOf_[static_cast<std::size_t>(ref.node)];
+  at.slot_ = static_cast<std::int32_t>(ref.dim * 2 +
+                                       static_cast<std::size_t>(ref.dir));
+  return at;
+}
+
+bool RouteTable::Locator::addRoute(NodeId src, NodeId dst, double bytes,
+                                   double& cell) const {
+  const RouteTable& t = *table_;
+  const std::int32_t from = t.virtOf_[static_cast<std::size_t>(src)];
+  const std::int32_t route = t.routeOf_[static_cast<std::size_t>(
+      t.center_ + t.virtOf_[static_cast<std::size_t>(dst)] - from)];
+  const std::int32_t rel =
+      t.relIndex_[static_cast<std::size_t>(t.center_ + virt_ - from)];
+  const auto slots = static_cast<std::int32_t>(2 * t.topo_.ndims());
+  const std::int32_t e = t.lookup_[static_cast<std::size_t>(
+      (route * t.relNodes_ + rel) * slots + slot_)];
+  if (e < 0) return false;
+  // The kernel's own operands and order (see addRoute below).
+  const double add = t.fracs_[static_cast<std::size_t>(e)] * bytes;
+  for (unsigned j = 0; j < t.mult_[static_cast<std::size_t>(e)]; ++j) {
+    cell += add;
+  }
+  return true;
+}
+
 void addRoute(const RouteTable::Span& r, double bytes, double* cells) {
   // Eight channels at a time in four lane pairs: each lane repeats its own
   // channel's addition, and the eight chains of additions run side by side
@@ -354,17 +443,6 @@ void DeltaPlacementEval::sweepStats() {
   cur_.sumSquares = sq;
 }
 
-void DeltaPlacementEval::beginProbe(Pending kind, RankId a, RankId b,
-                                    NodeId node) {
-  ++probes_;
-  pending_ = kind;
-  pendA_ = a;
-  pendB_ = b;
-  pendNode_ = node;
-  routeCount_ = 0;
-  pendingSummary_ = cur_;
-}
-
 void DeltaPlacementEval::accumulateRoute(NodeId src, NodeId dst,
                                          double bytes) {
   const RouteTable::Span& r = probeRoutes_[routeCount_++] =
@@ -401,15 +479,15 @@ void DeltaPlacementEval::markTouched() {
   channelVisits_ += visits;
 }
 
-void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
-                                    NodeId nodeB) {
+template <typename Visit>
+void DeltaPlacementEval::forEachMovedFlow(RankId a, RankId b, NodeId nodeA,
+                                          NodeId nodeB, Visit&& visit) const {
   // Placement of vertex r after the pending move.
   const auto nodeAfter = [&](RankId r) {
     if (r == a) return nodeA;
     if (b != kInvalidRank && r == b) return nodeB;
     return placement_[static_cast<std::size_t>(r)];
   };
-  double hbDelta = 0;
   const auto& flows = graph_->flows();
   const auto processFlow = [&](const Flow& f) {
     if (f.bytes == 0) return;
@@ -418,15 +496,7 @@ void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
     const NodeId u1 = nodeAfter(f.src);
     const NodeId v1 = nodeAfter(f.dst);
     if (u0 == u1 && v0 == v1) return;
-    if (cfg_.trackLoads) {
-      // Adding f * -bytes is exactly subtracting f * bytes.
-      if (u0 != v0) accumulateRoute(u0, v0, -f.bytes);
-      if (u1 != v1) accumulateRoute(u1, v1, f.bytes);
-    }
-    if (cfg_.trackHopBytes) {
-      hbDelta += f.bytes * static_cast<double>(topo_->distance(u1, v1)) -
-                 f.bytes * static_cast<double>(topo_->distance(u0, v0));
-    }
+    visit(f, u0, v0, u1, v1);
   };
   for (const std::uint32_t fi : incidence_->of(static_cast<std::size_t>(a))) {
     processFlow(flows[fi]);
@@ -439,6 +509,42 @@ void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
       processFlow(f);
     }
   }
+}
+
+bool DeltaPlacementEval::witnessAbove(ChannelId w, double bar, RankId a,
+                                      RankId b, NodeId nodeA,
+                                      NodeId nodeB) const {
+  // The full probe's cell for w: from zero, each route in probe order adds
+  // its additions for w, then the same scrub against the current load.
+  const RouteTable::Locator at = routes_->locate(w);
+  double d = 0.0;
+  bool crossed = false;
+  const auto visit = [&](const Flow& f, NodeId u0, NodeId v0, NodeId u1,
+                         NodeId v1) {
+    if (u0 != v0 && at.addRoute(u0, v0, -f.bytes, d)) crossed = true;
+    if (u1 != v1 && at.addRoute(u1, v1, f.bytes, d)) crossed = true;
+  };
+  forEachMovedFlow(a, b, nodeA, nodeB, visit);
+  const auto idx = static_cast<std::size_t>(w);
+  return crossed && scrubResidue(loads_[idx] + d, peak_[idx]) > bar;
+}
+
+void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
+                                    NodeId nodeB) {
+  double hbDelta = 0;
+  const auto visit = [&](const Flow& f, NodeId u0, NodeId v0, NodeId u1,
+                         NodeId v1) {
+    if (cfg_.trackLoads) {
+      // Adding f * -bytes is exactly subtracting f * bytes.
+      if (u0 != v0) accumulateRoute(u0, v0, -f.bytes);
+      if (u1 != v1) accumulateRoute(u1, v1, f.bytes);
+    }
+    if (cfg_.trackHopBytes) {
+      hbDelta += f.bytes * static_cast<double>(topo_->distance(u1, v1)) -
+                 f.bytes * static_cast<double>(topo_->distance(u0, v0));
+    }
+  };
+  forEachMovedFlow(a, b, nodeA, nodeB, visit);
   if (cfg_.trackHopBytes) {
     pendingSummary_.hopBytes = cur_.hopBytes + hbDelta;
   }
@@ -484,22 +590,45 @@ void DeltaPlacementEval::probeLoadStats() {
   pendingMaxChannel_ = at;
 }
 
-const DeltaPlacementEval::Summary& DeltaPlacementEval::probeSwap(RankId a,
-                                                                 RankId b) {
-  RAHTM_REQUIRE(a != b, "probeSwap: identical vertices");
-  beginProbe(Pending::Swap, a, b, kInvalidNode);
-  probeFlows(a, b, placement_[static_cast<std::size_t>(b)],
-             placement_[static_cast<std::size_t>(a)]);
+const DeltaPlacementEval::Summary& DeltaPlacementEval::probe(
+    Pending kind, RankId a, RankId b, NodeId node, NodeId nodeA, NodeId nodeB,
+    double bar, ChannelId witness) {
+  ++probes_;
+  // The witness first, then the channel holding the current MCL; a channel
+  // on none of the probe's routes does not cut.
+  if (cfg_.trackLoads && witness != kInvalidChannel && bar < kNoBar &&
+      (witnessAbove(witness, bar, a, b, nodeA, nodeB) ||
+       (maxChannel_ != kInvalidChannel && maxChannel_ != witness &&
+        witnessAbove(maxChannel_, bar, a, b, nodeA, nodeB)))) {
+    ++cuts_;
+    pending_ = Pending::None;
+    pendingSummary_ = {kNoBar, kNoBar, kNoBar};
+    return pendingSummary_;
+  }
+  pending_ = kind;
+  pendA_ = a;
+  pendB_ = b;
+  pendNode_ = node;
+  routeCount_ = 0;
+  pendingSummary_ = cur_;
+  probeFlows(a, b, nodeA, nodeB);
   return pendingSummary_;
 }
 
-const DeltaPlacementEval::Summary& DeltaPlacementEval::probeMove(RankId a,
-                                                                 NodeId node) {
+const DeltaPlacementEval::Summary& DeltaPlacementEval::probeSwap(
+    RankId a, RankId b, double bar, ChannelId witness) {
+  RAHTM_REQUIRE(a != b, "probeSwap: identical vertices");
+  return probe(Pending::Swap, a, b, kInvalidNode,
+               placement_[static_cast<std::size_t>(b)],
+               placement_[static_cast<std::size_t>(a)], bar, witness);
+}
+
+const DeltaPlacementEval::Summary& DeltaPlacementEval::probeMove(
+    RankId a, NodeId node, double bar, ChannelId witness) {
   RAHTM_REQUIRE(node >= 0 && node < topo_->numNodes(),
                 "probeMove: node out of range");
-  beginProbe(Pending::Move, a, kInvalidRank, node);
-  probeFlows(a, kInvalidRank, node, kInvalidNode);
-  return pendingSummary_;
+  return probe(Pending::Move, a, kInvalidRank, node, node, kInvalidNode, bar,
+               witness);
 }
 
 void DeltaPlacementEval::commit() {

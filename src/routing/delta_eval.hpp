@@ -34,6 +34,14 @@
 /// delta in that order, which fixes the order of the sum of squares'
 /// additions, and commit writes the probe's new loads back.
 ///
+/// Acceptance bar: a probe may carry a bar and a witness channel. Before
+/// routing anything it folds the witness's candidate load alone — the
+/// additions the full probe would make to that cell, found through the
+/// table's O(1) entry lookup (RouteTable::locate()) — and when that load
+/// exceeds the bar, the candidate's MCL (a max over cells) does too: the
+/// probe returns +inf and leaves nothing pending. Otherwise, or without a
+/// witness, the full probe runs.
+///
 /// Exact probe max: a probe's MCL is the max of its touched channels' new
 /// loads and the max over the untouched ones. The engine remembers one
 /// channel holding the current MCL; when the probe leaves that channel
@@ -51,7 +59,9 @@
 /// probe's statistics bit for bit.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "graph/comm_graph.hpp"
@@ -111,6 +121,28 @@ class RouteTable {
   /// Route of (src,dst). Thread-safe: takes no lock and allocates nothing.
   Span find(NodeId src, NodeId dst) const;
 
+  /// One channel, found in any route in O(1).
+  class Locator {
+   public:
+    /// Adds what addRoute(find(src, dst), bytes, cells) adds to the
+    /// located channel's cell — fraction·bytes, multiplicity times — to
+    /// \p cell. Returns whether the route crosses the channel.
+    bool addRoute(NodeId src, NodeId dst, double bytes, double& cell) const;
+
+   private:
+    friend class RouteTable;
+    const RouteTable* table_ = nullptr;
+    std::int32_t virt_ = 0;  ///< virtual index of the channel's node
+    std::int32_t slot_ = 0;  ///< dim * 2 + dir
+  };
+
+  /// Locator of channel \p c. The first call on a table builds its entry
+  /// lookup, (route, relative node, channel slot) -> entry: routes x nodes x
+  /// 2·ndims cells on a torus, charged to the route_table account. Tables
+  /// that are never asked (no barred probe reads them) never build it.
+  /// Thread-safe: the build runs once and the lookup is read-only after.
+  Locator locate(ChannelId c) const;
+
   /// Convenience: a table ready for read-only sharing.
   static std::shared_ptr<const RouteTable> buildFull(const Torus& topo);
 
@@ -139,6 +171,16 @@ class RouteTable {
   std::vector<std::uint8_t> mult_;
   std::vector<double> fracs_;
   obs::MemAccount mem_{obs::MemAccountId::RouteTable};
+
+  // Entry lookup (locate()), built on first use. A route node's relative
+  // position is indexed compactly: offset mod k in a wrapping dimension,
+  // offset + k - 1 in a mesh one.
+  void buildLookup() const;
+  mutable std::once_flag lookupOnce_;
+  mutable std::vector<std::int32_t> relIndex_;  ///< offset -> relative node
+  mutable std::vector<std::int32_t> lookup_;    ///< -> entry, -1 when absent
+  mutable std::int32_t relNodes_ = 0;
+  mutable obs::MemAccount lookupMem_{obs::MemAccountId::RouteTable};
 };
 
 /// Adds route \p r carrying \p bytes into the dense per-channel array
@@ -192,6 +234,9 @@ class DeltaPlacementEval {
     double hopBytes = 0;
   };
 
+  /// The bar of an unbarred probe.
+  static constexpr double kNoBar = std::numeric_limits<double>::infinity();
+
   /// \p routes: the route table of \p topo, shared read-only (e.g. across
   /// annealing restarts); the engine builds its own when null.
   /// \p incidence: optional pre-built incidence of \p graph's flows over its
@@ -209,10 +254,26 @@ class DeltaPlacementEval {
   double hopBytes() const { return cur_.hopBytes; }
 
   /// Candidate statistics if vertices a and b exchanged nodes.
-  const Summary& probeSwap(RankId a, RankId b);
+  ///
+  /// Acceptance bar (trackLoads only): when \p witness names a channel and
+  /// the candidate load of that channel, or else of the channel holding the
+  /// current MCL, is above \p bar, the candidate's MCL is too. The probe
+  /// then routes nothing, changes no state, leaves nothing pending and
+  /// returns +inf in every field (a cut, counted in cuts()). Any other probe
+  /// returns exactly the unbarred statistics.
+  const Summary& probeSwap(RankId a, RankId b, double bar = kNoBar,
+                           ChannelId witness = kInvalidChannel);
   /// Candidate statistics if vertex a relocated to \p node (which must not
-  /// host any other vertex — the caller tracks empty nodes).
-  const Summary& probeMove(RankId a, NodeId node);
+  /// host any other vertex — the caller tracks empty nodes). \p bar and
+  /// \p witness as for probeSwap().
+  const Summary& probeMove(RankId a, NodeId node, double bar = kNoBar,
+                           ChannelId witness = kInvalidChannel);
+  /// Whether a probe awaits commit(): true after a full probe, false after
+  /// a cut, a commit or a rebuild.
+  bool hasPending() const { return pending_ != Pending::None; }
+  /// A channel holding the pending probe's candidate MCL (kInvalidChannel
+  /// when no channel carries a positive load).
+  ChannelId probeMaxChannel() const { return pendingMaxChannel_; }
   /// Adopt the most recent probe. Requires a pending probe.
   void commit();
 
@@ -231,6 +292,8 @@ class DeltaPlacementEval {
 
   // ---- Instrumentation ----------------------------------------------------
   std::uint64_t probes() const { return probes_; }
+  /// Probes stopped at their bar (also counted in probes()).
+  std::uint64_t cuts() const { return cuts_; }
   std::uint64_t commits() const { return commits_; }
   /// From-scratch rebuilds performed (construction + rebuild() calls).
   std::uint64_t denseSweeps() const { return denseSweeps_; }
@@ -244,7 +307,14 @@ class DeltaPlacementEval {
  private:
   enum class Pending { None, Swap, Move };
 
-  void beginProbe(Pending kind, RankId a, RankId b, NodeId node);
+  const Summary& probe(Pending kind, RankId a, RankId b, NodeId node,
+                       NodeId nodeA, NodeId nodeB, double bar,
+                       ChannelId witness);
+  template <typename Visit>
+  void forEachMovedFlow(RankId a, RankId b, NodeId nodeA, NodeId nodeB,
+                        Visit&& visit) const;
+  bool witnessAbove(ChannelId w, double bar, RankId a, RankId b, NodeId nodeA,
+                    NodeId nodeB) const;
   void probeFlows(RankId a, RankId b, NodeId nodeA, NodeId nodeB);
   void accumulateRoute(NodeId src, NodeId dst, double bytes);
   void markTouched();
@@ -288,6 +358,7 @@ class DeltaPlacementEval {
 
   Summary cur_;
   std::uint64_t probes_ = 0;
+  std::uint64_t cuts_ = 0;
   std::uint64_t commits_ = 0;
   std::uint64_t denseSweeps_ = 0;
   std::uint64_t maskedSweeps_ = 0;

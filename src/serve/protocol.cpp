@@ -66,58 +66,73 @@ bool boolMember(const obs::JsonValue& doc, const std::string& key,
 }  // namespace
 
 MapRequest parseMapRequest(const obs::JsonValue& doc) {
-  if (!doc.isObject()) throw ParseError("request must be a JSON object");
-  const std::string schema = doc.stringOr("schema", "");
-  if (schema != kServeRequestSchema) {
-    throw ParseError("request schema must be '" +
-                     std::string(kServeRequestSchema) + "', got '" + schema +
-                     "'");
-  }
+  if (!doc.isObject()) throw RequestError("", "request must be a JSON object");
   MapRequest req;
   req.id = doc.stringOr("id", "");
-  const std::string machine = doc.stringOr("machine", "");
-  if (machine.empty()) throw ParseError("request missing 'machine'");
-  req.machine = parseShapeSpec(machine);
-  req.concentration = intMember(doc, "concentration", req.concentration);
-  req.benchmark = doc.stringOr("benchmark", req.benchmark);
-  req.messageBytes = intMember(doc, "bytes", req.messageBytes);
-  req.mapper = doc.stringOr("mapper", req.mapper);
-  req.beamWidth = intMember(doc, "beam", req.beamWidth);
-  if (req.beamWidth < 1) {
-    throw ParseError("request member 'beam' must be a positive int");
-  }
-  req.enableMerge = boolMember(doc, "merge", req.enableMerge);
-  req.finalRefinement = boolMember(doc, "refine", req.finalRefinement);
-  req.leafMilpVerts = intMember(doc, "leaf_milp", req.leafMilpVerts);
-  req.threads = intMember(doc, "threads", req.threads);
-  req.seed = intMember(doc, "seed", req.seed);
-  const std::string grid = doc.stringOr("grid", "");
-  if (!grid.empty()) req.grid = parseShapeSpec(grid);
+  // Every error below, the graph's own checks included, carries the id.
+  try {
+    const std::string schema = doc.stringOr("schema", "");
+    if (schema != kServeRequestSchema) {
+      throw ParseError("request schema must be '" +
+                       std::string(kServeRequestSchema) + "', got '" +
+                       schema + "'");
+    }
+    const std::string machine = doc.stringOr("machine", "");
+    if (machine.empty()) throw ParseError("request missing 'machine'");
+    req.machine = parseShapeSpec(machine);
+    req.concentration = intMember(doc, "concentration", req.concentration);
+    req.benchmark = doc.stringOr("benchmark", req.benchmark);
+    req.messageBytes = intMember(doc, "bytes", req.messageBytes);
+    req.mapper = doc.stringOr("mapper", req.mapper);
+    req.beamWidth = intMember(doc, "beam", req.beamWidth);
+    if (req.beamWidth < 1) {
+      throw ParseError("request member 'beam' must be a positive int");
+    }
+    req.enableMerge = boolMember(doc, "merge", req.enableMerge);
+    req.finalRefinement = boolMember(doc, "refine", req.finalRefinement);
+    req.leafMilpVerts = intMember(doc, "leaf_milp", req.leafMilpVerts);
+    req.threads = intMember(doc, "threads", req.threads);
+    req.seed = intMember(doc, "seed", req.seed);
+    const std::string grid = doc.stringOr("grid", "");
+    if (!grid.empty()) req.grid = parseShapeSpec(grid);
 
-  if (const obs::JsonValue* g = doc.find("graph")) {
-    if (!g->isObject()) throw ParseError("request 'graph' must be an object");
-    const auto ranks = intMember<RankId>(*g, "ranks", 0, "graph.");
-    if (ranks <= 0) throw ParseError("graph.ranks must be positive");
-    req.graph = CommGraph(ranks);
-    const obs::JsonValue* flows = g->find("flows");
-    if (flows == nullptr || !flows->isArray()) {
-      throw ParseError("graph.flows must be an array");
-    }
-    for (const obs::JsonValue& f : flows->array) {
-      if (!f.isArray() || f.array.size() != 3 || !f.array[2].isNumber()) {
-        throw ParseError("graph.flows entries must be [src,dst,bytes]");
+    if (const obs::JsonValue* g = doc.find("graph")) {
+      if (!g->isObject()) {
+        throw ParseError("request 'graph' must be an object");
       }
-      req.graph.addFlow(checkedInt<RankId>(f.array[0], "graph.flows src"),
-                        checkedInt<RankId>(f.array[1], "graph.flows dst"),
-                        static_cast<Volume>(f.array[2].number));
+      const auto ranks = intMember<RankId>(*g, "ranks", 0, "graph.");
+      if (ranks <= 0) throw ParseError("graph.ranks must be positive");
+      req.graph = CommGraph(ranks);
+      const obs::JsonValue* flows = g->find("flows");
+      if (flows == nullptr || !flows->isArray()) {
+        throw ParseError("graph.flows must be an array");
+      }
+      for (const obs::JsonValue& f : flows->array) {
+        if (!f.isArray() || f.array.size() != 3 || !f.array[2].isNumber()) {
+          throw ParseError("graph.flows entries must be [src,dst,bytes]");
+        }
+        req.graph.addFlow(checkedInt<RankId>(f.array[0], "graph.flows src"),
+                          checkedInt<RankId>(f.array[1], "graph.flows dst"),
+                          static_cast<Volume>(f.array[2].number));
+      }
+      req.hasGraph = true;
     }
-    req.hasGraph = true;
+  } catch (const std::exception& e) {
+    throw RequestError(req.id, e.what());
   }
   return req;
 }
 
 MapRequest parseMapRequestLine(const std::string& line) {
   return parseMapRequest(obs::parseJson(line));
+}
+
+MapResponse parseFailureResponse(const std::exception& e) {
+  MapResponse resp;
+  resp.ok = false;
+  resp.error = e.what();
+  if (const auto* r = dynamic_cast<const RequestError*>(&e)) resp.id = r->id();
+  return resp;
 }
 
 void writeMapResponseJson(std::ostream& os, const MapResponse& resp,

@@ -11,10 +11,13 @@
 /// encoding reuses obs/json. Responses are written with a fixed key order
 /// so they diff cleanly.
 
+#include <exception>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "serve/service.hpp"
 
 namespace rahtm::obs {
@@ -26,9 +29,22 @@ namespace rahtm::serve {
 inline constexpr const char* kServeRequestSchema = "rahtm.serve.request/v1";
 inline constexpr const char* kServeResponseSchema = "rahtm.serve.response/v1";
 
+/// A request that failed to parse or validate, with the `id` it carried
+/// (empty when the line was not a JSON object with a string `id`).
+class RequestError : public ParseError {
+ public:
+  RequestError(std::string id, const std::string& what)
+      : ParseError(what), id_(std::move(id)) {}
+  const std::string& id() const { return id_; }
+
+ private:
+  std::string id_;
+};
+
 /// Parse one request line / document. Unknown keys are ignored; a missing
-/// or wrong schema, a missing machine, or malformed members throw
-/// rahtm::ParseError.
+/// or wrong schema, a missing machine, or malformed members throw a
+/// RequestError. The `id` is read before any other member is checked, so
+/// every error carries it.
 ///
 /// Document shape (optional members carry the MapRequest defaults):
 ///   {"schema":"rahtm.serve.request/v1","id":"r1","machine":"4x4x4x2",
@@ -38,6 +54,10 @@ inline constexpr const char* kServeResponseSchema = "rahtm.serve.response/v1";
 ///    "graph":{"ranks":8,"flows":[[0,1,4096],[1,2,4096]]}}
 MapRequest parseMapRequest(const obs::JsonValue& doc);
 MapRequest parseMapRequestLine(const std::string& line);
+
+/// The reply to a request line that threw \p e while parsing: ok == false,
+/// the error as the message and, when \p e is a RequestError, its id.
+MapResponse parseFailureResponse(const std::exception& e);
 
 /// Serialize a response as one JSON line (no trailing newline). When
 /// \p includeMapping is false the per-rank mapping array is omitted (bench

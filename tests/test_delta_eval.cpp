@@ -1,18 +1,21 @@
 /// Property tests for the incremental placement-evaluation engine
 /// (routing/delta_eval.hpp): route-table parity with the uniform-minimal
-/// enumeration, probe/commit consistency against from-scratch evaluation
-/// across randomized move sequences, the relative residue scrub, the shared
-/// route table, and thread-count determinism of the searches built on the
+/// enumeration, the entry locator, probe/commit consistency against
+/// from-scratch evaluation across randomized move sequences, barred probes
+/// against unbarred ones, the relative residue scrub, the shared route
+/// table, and thread-count determinism of the searches built on the
 /// engine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/refine.hpp"
 #include "core/subproblem.hpp"
@@ -152,6 +155,57 @@ TEST(RouteTable, AddRouteRepeatsEnumerationAdditions) {
                               });
     addRoute(table->find(s, d), bytes, got.data());
     EXPECT_EQ(got, want) << s << " -> " << d;
+  }
+}
+
+std::uint64_t bitsOf(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// A locator adds to its channel's cell exactly what addRoute adds there,
+// and says whether the route crosses the channel, for every route and
+// every channel of tori, meshes, mixed wrapping, 4-ary ties and an
+// extent-1 dimension.
+TEST(RouteTable, LocatorAddsWhatAddRouteAddsToItsChannel) {
+  const std::vector<Torus> topos = {
+      Torus::torus({2, 2, 2, 2, 2}), Torus::torus({4, 4, 2}),
+      Torus::mesh({4, 3}),           Torus::mixed({4, 4, 2}, {1, 0, 1}),
+      Torus::mixed({3, 1, 4}, {1, 1, 0}),
+  };
+  for (const Torus& t : topos) {
+    const auto table = RouteTable::buildFull(t);
+    const auto slots = static_cast<std::size_t>(t.numChannelSlots());
+    std::vector<RouteTable::Locator> at;
+    for (std::size_t c = 0; c < slots; ++c) {
+      at.push_back(table->locate(static_cast<ChannelId>(c)));
+    }
+    Rng rng(static_cast<std::uint64_t>(t.numNodes()));
+    std::vector<double> base(slots);
+    for (double& v : base) v = rng.nextDouble() * 1000.0;
+    std::int64_t mismatches = 0;
+    for (NodeId s = 0; s < t.numNodes(); ++s) {
+      for (NodeId d = 0; d < t.numNodes(); ++d) {
+        const double bytes =
+            static_cast<double>(rng.nextBounded(999) + 1) * -0.37;
+        const RouteTable::Span r = table->find(s, d);
+        std::vector<double> want = base;
+        addRoute(r, bytes, want.data());
+        std::vector<char> on(slots, 0);
+        for (std::size_t k = 0; k < r.size; ++k) {
+          on[static_cast<std::size_t>(r.channel(k))] = 1;
+        }
+        for (std::size_t c = 0; c < slots; ++c) {
+          double cell = base[c];
+          const bool crossed = at[c].addRoute(s, d, bytes, cell);
+          if (crossed != (on[c] != 0) || bitsOf(cell) != bitsOf(want[c])) {
+            ++mismatches;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << t.describe();
   }
 }
 
@@ -440,6 +494,94 @@ TEST(DeltaEval, PinnedWalkHashes) {
     EXPECT_EQ(walkHash(c.topo, c.verts, 600, 0x5eed + c.verts), c.want)
         << c.topo.describe();
   }
+}
+
+/// Drives a seeded walk of swaps and moves, probing each candidate twice:
+/// without a bar, then with one. Bars fall below, at and above the
+/// candidate's MCL; witnesses are the candidate's max channel, a random
+/// channel or none. Returns the number of cuts.
+std::uint64_t checkBarredWalk(const Torus& t, std::size_t verts, int steps,
+                              std::uint64_t seed) {
+  Rng rng(seed);
+  const CommGraph g = randomGraph(static_cast<RankId>(verts), 4 * verts, rng);
+  auto place = randomPlacement(verts, t.numNodes(), rng);
+  std::vector<NodeId> empty;
+  for (NodeId n = 0; n < t.numNodes(); ++n) {
+    if (std::find(place.begin(), place.end(), n) == place.end()) {
+      empty.push_back(n);
+    }
+  }
+  DeltaPlacementEval eval(t, g, place);
+  const auto slots = static_cast<std::uint64_t>(t.numChannelSlots());
+  for (int step = 0; step < steps; ++step) {
+    const auto a = static_cast<RankId>(rng.nextBounded(verts));
+    const bool move = !empty.empty() && rng.nextBounded(2) == 0;
+    const std::size_t hole =
+        move ? static_cast<std::size_t>(rng.nextBounded(empty.size())) : 0;
+    auto b = static_cast<RankId>(rng.nextBounded(verts));
+    while (b == a) b = static_cast<RankId>(rng.nextBounded(verts));
+    const auto probe = [&](double bar, ChannelId witness) {
+      return move ? eval.probeMove(a, empty[hole], bar, witness)
+                  : eval.probeSwap(a, b, bar, witness);
+    };
+    const DeltaPlacementEval::Summary full = probe(DeltaPlacementEval::kNoBar,
+                                                   kInvalidChannel);
+    const ChannelId maxAt = eval.probeMaxChannel();
+    double bar = full.mcl;  // a tie never cuts
+    switch (rng.nextBounded(4)) {
+      case 0: bar = std::nextafter(full.mcl, 0.0); break;
+      case 1: bar = full.mcl * (0.5 + rng.nextDouble()); break;
+      case 2: bar = eval.mcl() * rng.nextDouble(); break;
+      default: break;
+    }
+    ChannelId witness = kInvalidChannel;
+    switch (rng.nextBounded(3)) {
+      case 0: witness = maxAt; break;
+      case 1: witness = static_cast<ChannelId>(rng.nextBounded(slots)); break;
+      default: break;
+    }
+    const std::vector<double> loadsBefore = eval.loads();
+    const double mclBefore = eval.mcl();
+    const double sqBefore = eval.sumSquares();
+    const std::uint64_t cutsBefore = eval.cuts();
+    const DeltaPlacementEval::Summary barred = probe(bar, witness);
+    if (eval.cuts() != cutsBefore) {
+      // Cut: only when the exact candidate MCL is above the bar, with
+      // nothing changed and nothing to commit.
+      EXPECT_GT(full.mcl, bar) << t.describe() << " step " << step;
+      EXPECT_EQ(barred.mcl, DeltaPlacementEval::kNoBar);
+      EXPECT_FALSE(eval.hasPending());
+      EXPECT_THROW(eval.commit(), PreconditionError);
+      EXPECT_EQ(eval.loads(), loadsBefore);
+      EXPECT_EQ(bitsOf(eval.mcl()), bitsOf(mclBefore));
+      EXPECT_EQ(bitsOf(eval.sumSquares()), bitsOf(sqBefore));
+      continue;
+    }
+    EXPECT_EQ(bitsOf(barred.mcl), bitsOf(full.mcl))
+        << t.describe() << " step " << step;
+    EXPECT_EQ(bitsOf(barred.sumSquares), bitsOf(full.sumSquares));
+    EXPECT_EQ(bitsOf(barred.hopBytes), bitsOf(full.hopBytes));
+    EXPECT_TRUE(eval.hasPending());
+    // A candidate above the current MCL raises its max channel, so that
+    // channel is on the probe's routes and, as the witness, must cut.
+    EXPECT_FALSE(witness == maxAt && bar < full.mcl && full.mcl > mclBefore)
+        << t.describe() << " step " << step << ": the witness did not cut";
+    if (rng.nextBounded(2) == 0) continue;  // rejected
+    const NodeId vacated = eval.placement()[static_cast<std::size_t>(a)];
+    eval.commit();
+    EXPECT_EQ(bitsOf(eval.mcl()), bitsOf(full.mcl));
+    if (move) empty[hole] = vacated;
+  }
+  return eval.cuts();
+}
+
+// A barred probe returns the unbarred statistics bit for bit, or +inf only
+// when the exact candidate MCL is above the bar. A cut leaves the loads
+// and statistics unchanged, and commit() after it throws.
+TEST(DeltaEval, BarredProbesMatchUnbarredOrCut) {
+  EXPECT_GT(checkBarredWalk(Torus::torus({2, 2, 2, 2, 2}), 28, 600, 3), 50u);
+  EXPECT_GT(checkBarredWalk(Torus::torus({4, 4, 2}), 26, 600, 5), 50u);
+  EXPECT_GT(checkBarredWalk(Torus::mesh({3, 3, 3}), 22, 600, 7), 50u);
 }
 
 // channelVisits() counts a probe's route channels: each channel once per

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/merge.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
@@ -343,6 +346,134 @@ TEST(Merge, LayoutSharedScoringMatchesPinnedPairMerge) {
   // Four scores per (entry, slot) for a diagonal child, eight for a
   // side-by-side one, where one score per orientation would take 2388.
   EXPECT_EQ(m.scored, 1472);
+}
+
+/// Eight 2x2x1 children filling a 4x4x2 torus, \p fill clusters each, with
+/// seeded random traffic between them.
+RegionCase seededBlockRegion(int fill, std::uint64_t seed) {
+  const int clusters = 8 * fill;
+  RegionCase rc{Torus::torus(Shape{4, 4, 2}), Shape{2, 2, 1}, Shape{2, 2, 2},
+                {}, CommGraph(clusters)};
+  const Torus slots = Torus::mesh(Shape{2, 2, 2});
+  for (int i = 0; i < 8; ++i) {
+    MergeChild c;
+    for (int k = 0; k < fill; ++k) {
+      c.clusters.push_back(fill * i + k);
+      c.localPos.push_back(Coord{k / 2, k % 2, 0});
+    }
+    c.slot = slots.coordOf((i * 5) % 8);
+    rc.children.push_back(c);
+  }
+  Rng rng(seed);
+  for (int f = 0; f < 12 * clusters / 4; ++f) {
+    rc.graph.addFlow(static_cast<RankId>(rng.nextBounded(clusters)),
+                     static_cast<RankId>(rng.nextBounded(clusters)),
+                     static_cast<double>(rng.nextBounded(16) + 1) * 256.0);
+  }
+  return rc;
+}
+
+/// The single-cluster region with one volume on every flow: many layouts
+/// tie, at the beam's bar too.
+RegionCase uniformRingRegion() {
+  RegionCase rc = singleClusterRegion();
+  rc.graph = CommGraph(8);
+  for (RankId a = 0; a < 8; ++a) {
+    rc.graph.addExchange(a, (a + 1) % 8, 10.0);
+    rc.graph.addExchange(a, (a + 3) % 8, 10.0);
+  }
+  return rc;
+}
+
+std::uint64_t foldHash(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 0x100000001b3ull;
+  return h ^ (h >> 29);
+}
+
+/// Hash of everything a merge returns.
+std::uint64_t resultHash(const MergeResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &r.objective, sizeof bits);
+  h = foldHash(h, bits);
+  for (const NodeId n : r.localNode) {
+    h = foldHash(h, static_cast<std::uint64_t>(n));
+  }
+  for (const Orientation& o : r.orientationOfChild) {
+    for (const char ch : o.describe()) {
+      h = foldHash(h, static_cast<std::uint64_t>(ch));
+    }
+  }
+  for (const Coord& s : r.slotOfChild) {
+    for (std::size_t d = 0; d < s.size(); ++d) {
+      h = foldHash(h, static_cast<std::uint64_t>(s[d]));
+    }
+  }
+  return h;
+}
+
+/// A region's merge at one beam width, with the result hash, the objective
+/// and the counters recorded before scoring stopped at the beam's bar.
+struct PinnedBeam {
+  const char* name;
+  RegionCase region;
+  int width;
+  std::uint64_t hash;
+  std::int64_t candidates;
+  std::int64_t scored;
+  std::uint64_t pulse;  ///< MergeCandidates heartbeats
+};
+
+std::vector<PinnedBeam> pinnedBeams() {
+  const RegionCase blocks4 = seededBlockRegion(4, 0x51);
+  const RegionCase blocks3 = seededBlockRegion(3, 0x52);
+  const RegionCase pairs = pairRegion();
+  const RegionCase ring = uniformRingRegion();
+  return {
+      {"blocks4", blocks4, 4, 0x3356ebc7111307a1ull, 1192, 1192, 1184},
+      {"blocks4", blocks4, 6, 0x3356ebc7111307a1ull, 1640, 1640, 1632},
+      {"blocks4", blocks4, 8, 0x32a847343665b6faull, 2088, 2088, 2080},
+      {"blocks3", blocks3, 4, 0x95e10824b0863c7cull, 1192, 1192, 1184},
+      {"blocks3", blocks3, 6, 0x98a1a53fdf250dacull, 1640, 1640, 1632},
+      {"blocks3", blocks3, 8, 0xde26e88253ea00e5ull, 2088, 2088, 2080},
+      {"pairs", pairs, 4, 0x6377421a83361a84ull, 276, 176, 272},
+      {"pairs", pairs, 6, 0xfd866aca5d811bdeull, 372, 232, 368},
+      {"pairs", pairs, 8, 0x0f89b8947c489336ull, 468, 288, 464},
+      {"uniform ring", ring, 4, 0x294b555c55182a4eull, 896, 156, 888},
+      {"uniform ring", ring, 6, 0xc0024386381c05fdull, 1232, 212, 1224},
+      {"uniform ring", ring, 8, 0x64e20e28e37c5815ull, 1568, 268, 1560},
+  };
+}
+
+// Narrow beams fill after a few candidates, so from then on scoring stops
+// at the bar. Every merge returns what it returned before, with the same
+// candidate and scoring counts and the same heartbeats: cut scorings still
+// count, and still beat the watchdog. In the uniform ring many layouts tie
+// at the bar; a tie enters the beam, so stopping at `>=` changes a result.
+TEST(Merge, NarrowBeamsMatchPinnedResults) {
+  std::int64_t cut = 0;
+  for (const PinnedBeam& p : pinnedBeams()) {
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry* prev = obs::metrics();
+    obs::setMetrics(&reg);
+    MergeConfig cfg;
+    cfg.beamWidth = p.width;
+    obs::Heartbeats& hb = obs::Heartbeats::instance();
+    const std::uint64_t before = hb.value(obs::Pulse::MergeCandidates);
+    const RegionCase& rc = p.region;
+    const MergeResult r = mergeChildren(rc.region, rc.childShape, rc.childGrid,
+                                        rc.children, rc.graph, cfg);
+    const std::uint64_t pulse = hb.value(obs::Pulse::MergeCandidates) - before;
+    obs::setMetrics(prev);
+    EXPECT_EQ(resultHash(r), p.hash) << p.name << " beam " << p.width;
+    EXPECT_EQ(reg.counter("rahtm.merge.candidates").value(), p.candidates)
+        << p.name << " beam " << p.width;
+    EXPECT_EQ(reg.counter("rahtm.merge.scored").value(), p.scored)
+        << p.name << " beam " << p.width;
+    EXPECT_EQ(pulse, p.pulse) << p.name << " beam " << p.width;
+    cut += reg.counter("rahtm.merge.cut").value();
+  }
+  EXPECT_GT(cut, 0);
 }
 
 // A beam narrower than one entry keeps no candidate; a negative width cast

@@ -175,6 +175,19 @@ TEST(ArtifactCache, ConcurrentRequestsBuildOnce) {
 
 // ---- MapService -----------------------------------------------------------
 
+// Errors name the failing source file from src/ on, never the absolute
+// location of the checkout the daemon was built in.
+TEST(MapService, ErrorsNameSourceFilesFromSrc) {
+  serve::MapService service;
+  serve::MapRequest req = cgRequest({3, 0}, 1);
+  req.id = "bad-machine";
+  const serve::MapResponse resp = service.handle(req);
+  ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.id, "bad-machine");
+  EXPECT_EQ(resp.error.rfind("src/topology/torus.cpp:", 0), 0u) << resp.error;
+  EXPECT_EQ(resp.error.find("/src/"), std::string::npos) << resp.error;
+}
+
 TEST(MapService, SolvesNamedWorkload) {
   serve::MapService service;
   serve::MapRequest req = cgRequest({2, 2, 2}, 2);
@@ -404,6 +417,45 @@ TEST(Protocol, MalformedRequestsThrow) {
       head + R"("seed":18446744073709549568,"concentration":2147483647})");
   EXPECT_EQ(ok.seed, 18446744073709549568ull);
   EXPECT_EQ(ok.concentration, std::numeric_limits<int>::max());
+}
+
+// The reply to a request that fails to parse echoes its id, whether the
+// parser rejects a member (beam 0) or the graph's own check does (a
+// negative flow volume).
+TEST(Protocol, ErrorRepliesEchoTheRequestId) {
+  const std::string head = R"({"schema":"rahtm.serve.request/v1",)";
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [id, body] : std::vector<Case>{
+           {"r1", R"("id":"r1","machine":"2x2","benchmark":"CG","beam":0})"},
+           {"r2", R"("id":"r2","machine":"2x2",)"
+                  R"("graph":{"ranks":4,"flows":[[0,1,-5]]}})"},
+           {"r3", R"("machine":"2x2","id":"r3","beam":"x"})"},
+       }) {
+    try {
+      serve::parseMapRequestLine(head + body);
+      ADD_FAILURE() << body << " was accepted";
+    } catch (const std::exception& e) {
+      const serve::MapResponse resp = serve::parseFailureResponse(e);
+      EXPECT_FALSE(resp.ok);
+      EXPECT_EQ(resp.id, id) << e.what();
+      EXPECT_NE(serve::mapResponseJson(resp).find("\"id\":\"" + id + "\""),
+                std::string::npos);
+    }
+  }
+  // A wrong schema still names the id; a line that is not an object has
+  // none to echo.
+  try {
+    serve::parseMapRequestLine(R"({"schema":"wrong/v0","id":"r4"})");
+    ADD_FAILURE() << "wrong schema was accepted";
+  } catch (const std::exception& e) {
+    EXPECT_EQ(serve::parseFailureResponse(e).id, "r4");
+  }
+  try {
+    serve::parseMapRequestLine("[1,2]");
+    ADD_FAILURE() << "an array was accepted";
+  } catch (const std::exception& e) {
+    EXPECT_EQ(serve::parseFailureResponse(e).id, "");
+  }
 }
 
 TEST(Protocol, ResponseRoundTripValidates) {

@@ -114,16 +114,6 @@ void writeMapfileFor(const ServeOptions& opt, const serve::MapRequest& req,
   writeMapfile(out, resp.mapping, Torus::torus(req.machine));
 }
 
-/// One response line for a request line that failed to parse: ok == false,
-/// the parse error as the message, no id correlation available beyond what
-/// the line carried.
-serve::MapResponse parseFailure(const std::string& what) {
-  serve::MapResponse resp;
-  resp.ok = false;
-  resp.error = what;
-  return resp;
-}
-
 int runStdinBatch(serve::Scheduler& sched, const ServeOptions& opt) {
   struct Pending {
     bool ready = false;               // parse failures are ready immediately
@@ -141,7 +131,7 @@ int runStdinBatch(serve::Scheduler& sched, const ServeOptions& opt) {
       p.future = submitWithRetry(sched, p.req).response;
     } catch (const std::exception& e) {
       p.ready = true;
-      p.resp = parseFailure(e.what());
+      p.resp = serve::parseFailureResponse(e);
     }
     pending.push_back(std::move(p));
   }
@@ -190,7 +180,7 @@ void serveConnection(int fd, serve::Scheduler& sched,
       req = serve::parseMapRequestLine(line);
       resp = submitWithRetry(sched, req).response.get();
     } catch (const std::exception& e) {
-      resp = parseFailure(e.what());
+      resp = serve::parseFailureResponse(e);
     }
     writeMapfileFor(opt, req, resp, index++);
     std::ostringstream os;
