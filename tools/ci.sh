@@ -33,11 +33,13 @@ run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # loop, mailbox handoffs, gang scheduling on a shared pool); test_serve the
 # cross-request artifact cache and the scheduler's concurrent waves;
 # test_delta_eval annealing restarts on the pool over one shared route
-# table. test_merge is serial today; it rides along so the merge kernel is
-# covered once its candidate scoring moves onto the pool. The threaded
+# table; test_mem the memory registry and its budget, which pool workers
+# and the watchdog thread share. test_merge is serial today; it rides
+# along so the merge kernel is covered once its candidate scoring moves
+# onto the pool. The threaded
 # golden mapfile runs drive the whole threaded pipeline (restarts on the
 # pool, the refine seed pair, the watchdog thread) through rahtm_map.
-run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_delta_eval|test_merge|tool_rahtm_map_golden_.*_t4' \
+run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_delta_eval|test_merge|test_mem|tool_rahtm_map_golden_.*_t4' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRAHTM_SANITIZE=thread
 
 # Benchmark-regression gate: emit the smoke ledger at the small scale,
@@ -117,10 +119,10 @@ RAHTM_NODES=32 RAHTM_CONC=2 RAHTM_SIM_ITERS=1 \
 # Serve gates. Smoke: a two-request stdin batch through the daemon must
 # produce schema-valid NDJSON responses (same --validate entry point as the
 # ledgers) with cache hits recorded on the warm request. Suite: determinism
-# (served vs one-shot mapping mismatches, baseline 0), cache-warm misses
-# (baseline 0 — a warm request that rebuilds artifacts fails the gate) and
-# the exactly reproducible hit/miss counters are gated; latency quantiles
-# and requests/sec ride along ungated (host-dependent).
+# (served vs one-shot mapping mismatches, baseline 0) and cache-warm misses
+# (baseline 0 — a warm request that rebuilds artifacts fails the gate) are
+# gated; the cache hit/miss/bytes counters, latency quantiles and
+# requests/sec are reported ungated.
 echo "==== [serve] batch smoke + suite gate"
 serve_bin="$repo/build-ci-release/tools/rahtm_serve"
 printf '%s\n%s\n' \

@@ -72,10 +72,10 @@ int usage(const char* argv0) {
       << "rahtm.postmortem/v1 artifacts (dispatched on the 'schema' key).\n"
       << "--postmortem-dir installs the crash/stall post-mortem handlers\n"
       << "for the benchmark run itself (default RAHTM_POSTMORTEM_DIR).\n"
-      << "--mem-budget-mb N enforces the staged accounted-memory budget\n"
-      << "(overrides RAHTM_MEM_BUDGET_MB; warn 80% / degrade 100% / fail\n"
-      << "125%); --mem-report prints the per-subsystem memory table to\n"
-      << "stderr when the run finishes.\n";
+      << "--mem-budget-mb N enforces the accounted-memory budget\n"
+      << "(overrides RAHTM_MEM_BUDGET_MB; warn at 80%, fail past 100%);\n"
+      << "--mem-report prints the per-subsystem memory table to stderr\n"
+      << "when the run finishes.\n";
   return 2;
 }
 
@@ -196,11 +196,11 @@ int main(int argc, char** argv) {
     if (pmDir.empty()) pmDir = obs::postmortemDirFromEnv();
     obs::installPostmortem(pmDir);
 
-    // CLI override for the staged accounted-memory budget (otherwise the
+    // CLI override for the accounted-memory budget (otherwise the
     // registry picked RAHTM_MEM_BUDGET_MB up at first use).
     if (args.has("mem-budget-mb")) {
-      obs::MemRegistry::instance().setBudgetBytes(
-          args.getInt("mem-budget-mb", 0) * 1024 * 1024);
+      obs::MemRegistry::instance().setBudgetMb(
+          args.getInt("mem-budget-mb", 0), "--mem-budget-mb");
     }
     const bool memReport = args.getBool("mem-report");
 

@@ -101,10 +101,10 @@ int usage(const char* argv0) {
       << "watchdog flags; RAHTM_RECORDER/RAHTM_HEARTBEATS=off disable the\n"
       << "recorder/heartbeats.\n"
       << "\n"
-      << "Memory: --mem-budget-mb N enforces the staged accounted-memory\n"
-      << "budget (overrides RAHTM_MEM_BUDGET_MB; warn 80% / degrade 100% /\n"
-      << "fail 125% — see obs/mem.hpp); --mem-report prints the\n"
-      << "per-subsystem peak table to stderr before exit.\n";
+      << "Memory: --mem-budget-mb N enforces the accounted-memory budget\n"
+      << "(overrides RAHTM_MEM_BUDGET_MB; warn at 80%, fail past 100% —\n"
+      << "see obs/mem.hpp); --mem-report prints the per-subsystem peak\n"
+      << "table to stderr before exit.\n";
   return 2;
 }
 
@@ -178,8 +178,8 @@ int main(int argc, char** argv) {
 
     // ---- Memory accounting (always on; see obs/mem.hpp) -------------------
     if (args.has("mem-budget-mb")) {
-      obs::MemRegistry::instance().setBudgetBytes(
-          args.getInt("mem-budget-mb", 0) * 1024 * 1024);
+      obs::MemRegistry::instance().setBudgetMb(
+          args.getInt("mem-budget-mb", 0), "--mem-budget-mb");
     }
     const bool memReport = args.getBool("mem-report");
 
