@@ -36,7 +36,9 @@ int main(int argc, char** argv) {
   const auto telemetry = telemetryFromCli(argc, argv);
   const ExperimentScale scale = ExperimentScale::fromEnv();
   const int threads = exec::ThreadPool::resolveThreads(
-      static_cast<int>(args.getInt("threads", exec::threadsFromEnv())));
+      args.has("threads")
+          ? exec::parseThreads(args.getString("threads", ""), "--threads")
+          : exec::threadsFromEnv());
 
   std::cout << "Optimization time (offline mapping cost, seconds)\n\n";
   std::cout << std::left << std::setw(6) << "bench" << std::right

@@ -4,10 +4,14 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "common/timer.hpp"
+#include "exec/thread_pool.hpp"
 #include "graph/stats.hpp"
 #include "mapping/hilbert.hpp"
 #include "mapping/permutation.hpp"
@@ -20,9 +24,23 @@ namespace rahtm::bench {
 
 namespace {
 
-std::int64_t envInt(const char* name, std::int64_t fallback) {
+/// Environment variable \p name as a T, or \p fallback when unset. A
+/// malformed or out-of-range value is a ParseError naming the variable.
+template <typename T>
+T envInt(const char* name, T fallback) {
   const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::atoll(v);
+  if (v == nullptr) return fallback;
+  const std::string where = std::string(name) + ": ";
+  std::int64_t value = 0;
+  try {
+    value = parseInt(v);
+  } catch (const ParseError& e) {
+    throw ParseError(where + e.what());
+  }
+  if (!std::in_range<T>(value)) {
+    throw ParseError(where + "out of range: '" + v + "'");
+  }
+  return static_cast<T>(value);
 }
 
 /// The paper's ACEBDT permutation interleaves odd-position dimensions
@@ -64,10 +82,10 @@ std::unique_ptr<obs::TelemetrySession> telemetryFromCli(int argc,
 
 ExperimentScale ExperimentScale::fromEnv() {
   ExperimentScale scale =
-      fromSpec(envInt("RAHTM_NODES", 128),
-               static_cast<int>(envInt("RAHTM_CONC", 8)),
-               envInt("RAHTM_BYTES", 4096),
-               static_cast<int>(envInt("RAHTM_SIM_ITERS", 4)));
+      fromSpec(envInt<std::int64_t>("RAHTM_NODES", 128),
+               envInt<int>("RAHTM_CONC", 8),
+               envInt<std::int64_t>("RAHTM_BYTES", 4096),
+               envInt<int>("RAHTM_SIM_ITERS", 4));
   // RAHTM_SIM_FIDELITY=flow swaps the cycle sim for the flow-level
   // analytic estimate (DESIGN.md §12). Results-changing, so it is honored
   // only here — never in fromSpec, which regression checks use to re-run a
@@ -104,7 +122,7 @@ ExperimentScale ExperimentScale::fromSpec(std::int64_t nodes,
   // Simulator worker threads (RAHTM_SIM_THREADS, 0 = all cores). Safe to
   // honor even when re-running a baseline's recorded spec: the sharded
   // engine's results are bit-identical for every thread count.
-  scale.sim.threads = static_cast<int>(envInt("RAHTM_SIM_THREADS", 1));
+  scale.sim.threads = exec::threadsFromEnv("RAHTM_SIM_THREADS");
   return scale;
 }
 

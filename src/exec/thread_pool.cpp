@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 
+#include "common/error.hpp"
+#include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
@@ -54,9 +57,12 @@ ThreadPool::~ThreadPool() {
 bool ThreadPool::inParallelRegion() { return tlInParallelRegion; }
 
 int ThreadPool::resolveThreads(int requested) {
+  RAHTM_REQUIRE(requested <= kMaxThreads,
+                "ThreadPool: " + std::to_string(requested) +
+                    " threads requested, more than kMaxThreads");
   if (requested == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxThreads));
   }
   return std::max(1, requested);
 }
@@ -198,13 +204,30 @@ bool ThreadPool::tryGang(std::size_t n,
   return true;
 }
 
-int threadsFromEnv() {
-  const char* v = std::getenv("RAHTM_THREADS");
+int checkedThreads(std::int64_t requested, std::string_view source) {
+  if (requested < 0 || requested > kMaxThreads) {
+    throw ParseError(std::string(source) +
+                     " must be 0 (all hardware threads) or 1.." +
+                     std::to_string(kMaxThreads) + ", got " +
+                     std::to_string(requested));
+  }
+  return static_cast<int>(requested);
+}
+
+int parseThreads(std::string_view text, std::string_view source) {
+  std::int64_t requested = 0;
+  try {
+    requested = parseInt(text);
+  } catch (const ParseError& e) {
+    throw ParseError(std::string(source) + ": " + e.what());
+  }
+  return checkedThreads(requested, source);
+}
+
+int threadsFromEnv(const char* name) {
+  const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || parsed < 0) return 1;
-  return static_cast<int>(parsed);
+  return parseThreads(v, name);
 }
 
 }  // namespace rahtm::exec

@@ -31,19 +31,28 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace rahtm::exec {
 
+/// The most threads any configuration may ask for. Results are
+/// bit-identical for every thread count (DESIGN.md §9), so more threads
+/// could only waste resources; the bound keeps one request line or
+/// environment value from starting billions of them.
+inline constexpr int kMaxThreads = 256;
+
 class ThreadPool {
  public:
   /// A pool running at \p threads total concurrency (workers + the calling
   /// thread). `threads <= 1` spawns no workers and runs everything inline;
-  /// `threads == 0` means one per hardware thread.
+  /// `threads == 0` means one per hardware thread. Requires
+  /// `threads <= kMaxThreads` (see resolveThreads).
   explicit ThreadPool(int threads = 1);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -69,8 +78,10 @@ class ThreadPool {
   /// true return guarantees n distinct threads participated.
   bool tryGang(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Resolve a configured thread count: 0 -> hardware concurrency,
-  /// anything else clamped to >= 1.
+  /// Resolve a configured thread count: 0 -> hardware concurrency (at most
+  /// kMaxThreads), anything else clamped to >= 1. A count above kMaxThreads
+  /// is a PreconditionError: outside input is bounded by checkedThreads
+  /// before it gets here.
   static int resolveThreads(int requested);
 
   /// True while the calling thread is executing tasks of some pool's
@@ -95,9 +106,18 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Thread count requested via the RAHTM_THREADS environment variable;
-/// 1 (serial) when unset or unparsable. 0 means "all hardware threads"
-/// (resolved at pool construction).
-int threadsFromEnv();
+/// \p requested as a thread count: 0 (all hardware threads, resolved at
+/// pool construction) through kMaxThreads. Anything else throws ParseError
+/// naming \p source, the flag, environment variable or request member the
+/// value came from.
+int checkedThreads(std::int64_t requested, std::string_view source);
+
+/// checkedThreads of the integer spelled by \p text; malformed text also
+/// throws a ParseError naming \p source.
+int parseThreads(std::string_view text, std::string_view source);
+
+/// Thread count from the environment variable \p name (parseThreads);
+/// 1 (serial) when it is unset or empty.
+int threadsFromEnv(const char* name = "RAHTM_THREADS");
 
 }  // namespace rahtm::exec

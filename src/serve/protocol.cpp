@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/json_reader.hpp"
 
@@ -91,7 +92,9 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
     req.enableMerge = boolMember(doc, "merge", req.enableMerge);
     req.finalRefinement = boolMember(doc, "refine", req.finalRefinement);
     req.leafMilpVerts = intMember(doc, "leaf_milp", req.leafMilpVerts);
-    req.threads = intMember(doc, "threads", req.threads);
+    req.threads = exec::checkedThreads(
+        intMember<std::int64_t>(doc, "threads", req.threads),
+        "request member 'threads'");
     req.seed = intMember(doc, "seed", req.seed);
     const std::string grid = doc.stringOr("grid", "");
     if (!grid.empty()) req.grid = parseShapeSpec(grid);

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/rahtm.hpp"
 #include "core/subproblem.hpp"
@@ -86,6 +88,42 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_EQ(exec::ThreadPool::resolveThreads(3), 3);
   EXPECT_EQ(exec::ThreadPool::resolveThreads(-2), 1);
   EXPECT_GE(exec::ThreadPool::resolveThreads(0), 1);
+  EXPECT_LE(exec::ThreadPool::resolveThreads(0), exec::kMaxThreads);
+  EXPECT_EQ(exec::ThreadPool::resolveThreads(exec::kMaxThreads),
+            exec::kMaxThreads);
+  // The pool's backstop: resolveThreads runs before any worker starts.
+  EXPECT_THROW(exec::ThreadPool::resolveThreads(exec::kMaxThreads + 1),
+               PreconditionError);
+}
+
+/// \p fn must throw a ParseError whose message names \p source.
+template <typename Fn>
+void expectRejected(Fn fn, const std::string& source) {
+  try {
+    fn();
+    ADD_FAILURE() << source << ": accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(source), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ThreadPool, ThreadCountsFromOutsideAreBounded) {
+  EXPECT_EQ(exec::checkedThreads(0, "x"), 0);
+  EXPECT_EQ(exec::checkedThreads(exec::kMaxThreads, "x"), exec::kMaxThreads);
+  EXPECT_EQ(exec::parseThreads("4", "--threads"), 4);
+  for (const std::int64_t bad :
+       {std::int64_t{-1}, std::int64_t{exec::kMaxThreads} + 1,
+        std::int64_t{4294967297}, INT64_MIN}) {
+    expectRejected([bad] { exec::checkedThreads(bad, "--sim-threads"); },
+                   "--sim-threads");
+  }
+  // Values that a cast to int would wrap or a clamp would hide.
+  for (const char* bad : {"4294967297", "-2", "-5", "257", "abc", "", "1.5",
+                          "99999999999999999999"}) {
+    expectRejected([bad] { exec::parseThreads(bad, "--threads"); },
+                   "--threads");
+  }
 }
 
 TEST(ThreadPool, ThreadsFromEnv) {
@@ -93,8 +131,10 @@ TEST(ThreadPool, ThreadsFromEnv) {
   const std::string saved = old == nullptr ? "" : old;
   ::setenv("RAHTM_THREADS", "6", 1);
   EXPECT_EQ(exec::threadsFromEnv(), 6);
-  ::setenv("RAHTM_THREADS", "garbage", 1);
-  EXPECT_EQ(exec::threadsFromEnv(), 1);
+  for (const char* bad : {"garbage", "-1", "4294967297"}) {
+    ::setenv("RAHTM_THREADS", bad, 1);
+    expectRejected([] { exec::threadsFromEnv(); }, "RAHTM_THREADS");
+  }
   ::unsetenv("RAHTM_THREADS");
   EXPECT_EQ(exec::threadsFromEnv(), 1);
   if (old != nullptr) ::setenv("RAHTM_THREADS", saved.c_str(), 1);

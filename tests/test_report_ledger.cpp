@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/experiment.hpp"
@@ -438,6 +440,36 @@ TEST(Suites, UnknownSuiteThrows) {
   const bench::ExperimentScale scale =
       bench::ExperimentScale::fromSpec(32, 2, 1024, 1);
   EXPECT_THROW(bench::runSuite("fig99", scale), ParseError);
+}
+
+TEST(Suites, MalformedScaleEnvironmentNamesTheVariable) {
+  // A malformed or out-of-range value is an error naming its variable, not
+  // a silent 0 (RAHTM_SIM_ITERS once ledgered comm_cycles 0), a wrapped
+  // int, or "all hardware threads".
+  using Case = std::pair<const char*, const char*>;
+  for (const auto& [name, value] : std::vector<Case>{
+           {"RAHTM_SIM_ITERS", "abc"},
+           {"RAHTM_CONC", "abc"},
+           {"RAHTM_CONC", "4294967298"},
+           {"RAHTM_SIM_THREADS", "abc"},
+           {"RAHTM_SIM_THREADS", "300"},
+       }) {
+    const char* old = std::getenv(name);
+    const std::string saved = old == nullptr ? "" : old;
+    ::setenv(name, value, 1);
+    try {
+      bench::ExperimentScale::fromEnv();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    if (old != nullptr) {
+      ::setenv(name, saved.c_str(), 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
 }
 
 // ---- geomean guard --------------------------------------------------------

@@ -414,6 +414,9 @@ TEST(Protocol, MalformedRequestsThrow) {
            {"bytes", R"("bytes":4096.5})"},
            {"leaf_milp", R"("leaf_milp":4294967300})"},
            {"threads", R"("threads":1e300})"},
+           {"threads", R"("threads":4294967297})"},
+           {"threads", R"("threads":257})"},
+           {"threads", R"("threads":-2})"},
            {"seed", R"("seed":-1})"},
            {"seed", R"("seed":18446744073709551616})"},
            {"seed", R"("seed":0.5})"},
@@ -454,6 +457,7 @@ TEST(Protocol, ErrorRepliesEchoTheRequestId) {
            {"r2", R"("id":"r2","machine":"2x2",)"
                   R"("graph":{"ranks":4,"flows":[[0,1,-5]]}})"},
            {"r3", R"("machine":"2x2","id":"r3","beam":"x"})"},
+           {"r4", R"("id":"r4","machine":"2x2","threads":100000})"},
        }) {
     try {
       serve::parseMapRequestLine(head + body);

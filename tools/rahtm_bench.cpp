@@ -26,6 +26,7 @@
 #include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/json_reader.hpp"
 #include "obs/mem.hpp"
 #include "obs/postmortem.hpp"
@@ -240,7 +241,8 @@ int main(int argc, char** argv) {
     // results; fidelity does, and the fingerprint-scale re-run of --check
     // deliberately ignores both env and flag for it.
     if (args.has("sim-threads")) {
-      scale.sim.threads = static_cast<int>(args.getInt("sim-threads", 1));
+      scale.sim.threads =
+          exec::parseThreads(args.getString("sim-threads", ""), "--sim-threads");
     }
     if (args.has("sim-fidelity")) {
       const std::string fidelity = args.getString("sim-fidelity", "cycle");

@@ -33,6 +33,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "exec/thread_pool.hpp"
 #include "mapping/mapfile.hpp"
 #include "obs/mem.hpp"
 #include "obs/telemetry.hpp"
@@ -298,7 +299,8 @@ int main(int argc, char** argv) {
     serve::MapService service(&cache);
 
     ServeOptions opt;
-    opt.sched.threads = static_cast<int>(args.getInt("threads", 0));
+    opt.sched.threads =
+        exec::parseThreads(args.getString("threads", "0"), "--threads");
     opt.sched.maxBatch = static_cast<int>(args.getInt("batch", 8));
     opt.sched.maxQueueDepth =
         static_cast<int>(args.getInt("queue-depth", 64));
