@@ -38,9 +38,9 @@ struct RahtmConfig {
   Shape logicalGrid;
   /// Worker threads for the compute phases: phase-2 subproblem waves,
   /// annealing restarts, and the final-refinement seed pair. 1 (default)
-  /// runs fully serial; 0 uses every hardware thread. The mapping is
-  /// bit-identical for every value (see exec/thread_pool.hpp for the
-  /// determinism contract).
+  /// runs fully serial; 0 uses every hardware thread; at most
+  /// exec::kMaxThreads. The mapping is bit-identical for every value (see
+  /// exec/thread_pool.hpp for the determinism contract).
   int numThreads = 1;
   /// Optional provider of shared per-topology artifacts (route tables, flow
   /// incidences), propagated into every phase config. Non-owning; must

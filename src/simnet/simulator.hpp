@@ -120,11 +120,12 @@ struct SimConfig {
   LinkLoadCapture* linkCapture = nullptr;
   /// Which rung of the fidelity ladder to run (see SimFidelity).
   SimFidelity fidelity = SimFidelity::Cycle;
-  /// Cycle-mode worker threads (0 = all hardware threads). The queue array
-  /// is sharded by node partition with a fixed shard count, cross-shard
-  /// packet handoffs travel through per-(src,dst)-shard mailboxes merged in
-  /// index order, and each shard owns a pre-split RNG stream — the
-  /// PhaseResult is bit-identical for every thread count, including 1.
+  /// Cycle-mode worker threads (0 = all hardware threads; at most
+  /// exec::kMaxThreads). The queue array is sharded by node partition with
+  /// a fixed shard count, cross-shard packet handoffs travel through
+  /// per-(src,dst)-shard mailboxes merged in index order, and each shard
+  /// owns a pre-split RNG stream — the PhaseResult is bit-identical for
+  /// every thread count, including 1.
   int threads = 1;
   /// Optional externally-owned pool to run cycle-mode workers on (must
   /// outlive the simulate* call). When null and threads > 1, the simulator
