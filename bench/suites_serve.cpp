@@ -54,7 +54,6 @@ obs::RunReport suiteServe(const ExperimentScale& scale) {
   serve::MapService service(&cache);
   serve::SchedulerConfig schedCfg;
   schedCfg.threads = 2;
-  schedCfg.maxBatch = 4;
 
   const auto makeRequest = [&](const std::string& benchmark) {
     serve::MapRequest req;

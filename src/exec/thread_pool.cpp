@@ -39,6 +39,9 @@ struct ThreadPool::Job {
 };
 
 ThreadPool::ThreadPool(int threads) : threadCount_(resolveThreads(threads)) {
+  // Built inside a region, every parallelFor on this pool would run inline
+  // and tryGang would refuse: workers would never run a task.
+  if (tlInParallelRegion) threadCount_ = 1;
   workers_.reserve(static_cast<std::size_t>(threadCount_ - 1));
   for (int i = 1; i < threadCount_; ++i) {
     workers_.emplace_back([this] { workerLoop(); });

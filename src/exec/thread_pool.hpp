@@ -52,7 +52,9 @@ class ThreadPool {
   /// A pool running at \p threads total concurrency (workers + the calling
   /// thread). `threads <= 1` spawns no workers and runs everything inline;
   /// `threads == 0` means one per hardware thread. Requires
-  /// `threads <= kMaxThreads` (see resolveThreads).
+  /// `threads <= kMaxThreads` (see resolveThreads). A pool built on a
+  /// thread inside a parallel region spawns no workers either
+  /// (numThreads() is 1): its regions would all run inline there.
   explicit ThreadPool(int threads = 1);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

@@ -87,7 +87,11 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
 
   if (!opts.warmStart.empty()) tryIncumbent(opts.warmStart);
 
+  // Bound of the weakest node dropped with its relaxation unresolved (the
+  // root's is -1e300): its subtree was never searched, so the proven bound
+  // can be no better.
   bool unresolvedNodes = false;
+  double unresolvedBound = 1e300;
   SolveStatus finalStatus = SolveStatus::Optimal;
   while (!open.empty()) {
     if (opts.maxNodes > 0 && result.nodesExplored >= opts.maxNodes) {
@@ -134,9 +138,10 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
       const LpSolution relax = solveLp(model, sopts);
       result.lpPivots += relax.pivots;
       if (relax.status == SolveStatus::IterLimit) {
-        // Numerical trouble or iteration exhaustion: the node is dropped
-        // but optimality may no longer be claimed.
+        // Numerical trouble, iteration exhaustion or the time budget: the
+        // node is dropped but optimality may no longer be claimed.
         unresolvedNodes = true;
+        unresolvedBound = std::min(unresolvedBound, node.bound);
       }
       if (relax.status == SolveStatus::Optimal) {
         const double bound = minimize * relax.objective;
@@ -182,8 +187,9 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
     }
   }
 
-  // Best bound: min over remaining open nodes (or incumbent if tree emptied).
-  double openBound = incumbentObj;
+  // Best bound: min over the incumbent, the remaining open nodes and the
+  // nodes dropped unresolved.
+  double openBound = std::min(incumbentObj, unresolvedBound);
   if (finalStatus != SolveStatus::Optimal) {
     // Remaining nodes hold the weakest proven bound.
     if (!open.empty()) openBound = std::min(openBound, open.top().bound);
@@ -191,7 +197,10 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
   result.bestBound = minimize * openBound;
 
   if (finalStatus == SolveStatus::Optimal && unresolvedNodes) {
-    finalStatus = SolveStatus::IterLimit;  // cannot certify optimality
+    // Cannot certify optimality; say why the search stopped short.
+    finalStatus = opts.timeLimitSec > 0 && timer.seconds() > opts.timeLimitSec
+                      ? SolveStatus::TimeLimit
+                      : SolveStatus::IterLimit;
   }
   if (finalStatus == SolveStatus::Optimal) {
     result.status =

@@ -372,8 +372,9 @@ ThresholdMap defaultThresholds() {
       // Serve suite (bench/suites_serve.cpp). The correctness counters have
       // committed baselines of 0 (served-vs-one-shot mapping divergence,
       // cache-warm requests that still rebuilt artifacts): any nonzero is a
-      // hard failure. Latency/throughput and the cache traffic counters are
-      // host- and wave-timing-dependent: reported, never gated.
+      // hard failure. Latency/throughput and the cache traffic counters
+      // depend on the host and on which serving thread takes which request:
+      // reported, never gated.
       {"served_determinism_mismatches", 0.0},
       {"warm_route_misses", 0.0},
       {"warm_incidence_misses", 0.0},

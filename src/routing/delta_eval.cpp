@@ -326,6 +326,19 @@ void addRoute(const RouteTable::Span& r, double bytes, double* cells) {
   }
 }
 
+void addPlacementRoutes(const RouteTable& routes, const CommGraph& graph,
+                        const std::vector<NodeId>& placement, double* cells) {
+  RAHTM_REQUIRE(placement.size() >= static_cast<std::size_t>(graph.numRanks()),
+                "addPlacementRoutes: placement too small");
+  for (const Flow& f : graph.flows()) {
+    const NodeId u = placement[static_cast<std::size_t>(f.src)];
+    const NodeId v = placement[static_cast<std::size_t>(f.dst)];
+    RAHTM_REQUIRE(u >= 0 && v >= 0, "addPlacementRoutes: unmapped vertex");
+    if (u == v || f.bytes == 0) continue;
+    addRoute(routes.find(u, v), f.bytes, cells);
+  }
+}
+
 std::shared_ptr<const RouteTable> RouteTable::buildFull(const Torus& topo) {
   return std::make_shared<const RouteTable>(topo);
 }
@@ -395,13 +408,7 @@ void DeltaPlacementEval::rebuild() {
   pending_ = Pending::None;
   if (cfg_.trackLoads) {
     std::fill(loads_.begin(), loads_.end(), 0.0);
-    for (const Flow& f : graph_->flows()) {
-      const NodeId u = placement_[static_cast<std::size_t>(f.src)];
-      const NodeId v = placement_[static_cast<std::size_t>(f.dst)];
-      RAHTM_REQUIRE(u >= 0 && v >= 0, "DeltaPlacementEval: unmapped vertex");
-      if (u == v || f.bytes == 0) continue;
-      addRoute(routes_->find(u, v), f.bytes, loads_.data());
-    }
+    addPlacementRoutes(*routes_, *graph_, placement_, loads_.data());
     for (std::size_t c = 0; c < loads_.size(); ++c) {
       peak_[c] = std::max(peak_[c], std::abs(loads_[c]));
     }

@@ -188,6 +188,14 @@ class RouteTable {
 /// r.channel(k) — the enumeration's own additions for each cell.
 void addRoute(const RouteTable::Span& r, double bytes, double* cells);
 
+/// Adds the flows of \p graph, placed by \p placement (vertex -> node of
+/// the table's topology), into \p cells: addRoute() of each flow's route
+/// in flow order, skipping co-located and zero-byte flows. Every cell
+/// receives placementLoads()'s additions in its order, so the loads, and
+/// their max, are bit-identical to it.
+void addPlacementRoutes(const RouteTable& routes, const CommGraph& graph,
+                        const std::vector<NodeId>& placement, double* cells);
+
 /// Provider of immutable, shareable per-topology / per-graph artifacts.
 /// The solver phases take a non-owning pointer (null = build locally, the
 /// historical behavior); a cross-request cache implements this to amortize

@@ -1,8 +1,9 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <vector>
 
+#include "common/error.hpp"
+#include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -10,7 +11,14 @@ namespace rahtm::serve {
 
 Scheduler::Scheduler(MapService& service, SchedulerConfig cfg)
     : service_(service), cfg_(cfg), pool_(cfg.threads) {
-  dispatcher_ = std::thread([this] { dispatchLoop(); });
+  dispatcher_ = std::thread([this] {
+    // One gang region whose tasks are the serving loops, one per thread.
+    // Nothing else uses this pool, so the gang is never refused.
+    const bool ganged =
+        pool_.tryGang(static_cast<std::size_t>(pool_.numThreads()),
+                      [this](std::size_t) { serveLoop(); });
+    RAHTM_REQUIRE(ganged, "Scheduler: serving threads refused");
+  });
 }
 
 Scheduler::~Scheduler() { shutdown(); }
@@ -51,38 +59,21 @@ Scheduler::Ticket Scheduler::submit(MapRequest req) {
   return ticket;
 }
 
-void Scheduler::dispatchLoop() {
+void Scheduler::serveLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::vector<Queued> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      const std::size_t take = std::min(
-          queue_.size(),
-          static_cast<std::size_t>(std::max(1, cfg_.maxBatch)));
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      inFlight_ = batch.size();
-    }
-    if (obs::MetricsRegistry* reg = obs::metrics()) {
-      reg->counter("rahtm.serve.waves").add(1);
-    }
-    // One fork-join wave per batch; process() never throws (the service
-    // folds failures into the response), so the region always joins.
-    pool_.parallelFor(batch.size(),
-                      [&](std::size_t i) { process(batch[i]); });
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      inFlight_ = 0;
-      if (queue_.empty()) idle_.notify_all();
-    }
+    wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // shut down with nothing left to serve
+    Queued q = std::move(queue_.front());
+    queue_.pop_front();
+    ++inFlight_;
+    lock.unlock();
+    // process() never throws: the service folds failures into the response.
+    process(q);
+    obs::Heartbeats::instance().beat(obs::Pulse::PoolTasks);
+    lock.lock();
+    --inFlight_;
+    if (queue_.empty() && inFlight_ == 0) idle_.notify_all();
   }
 }
 

@@ -1,27 +1,34 @@
 #pragma once
 /// \file scheduler.hpp
-/// Batched admission of concurrent mapping requests onto the exec pool.
+/// Work-conserving admission of concurrent mapping requests onto the exec
+/// pool.
 ///
 /// Shape: producers (socket connections, the stdin batch reader, bench
-/// clients) submit() requests; a single dispatcher thread drains the queue
-/// in waves of up to `maxBatch` requests and runs each wave as one
-/// `exec::ThreadPool::parallelFor` region — every request solves in its own
-/// task, and any inner parallelism the solver asks for (RahtmConfig::
-/// numThreads) degrades to inline-serial inside the worker, which the
+/// clients) submit() requests into one FIFO queue. The pool's `threads`
+/// serving threads each run one loop: wait for a request (or shutdown),
+/// pop the front of the queue, solve it, repeat. No request waits while a
+/// thread is free, so a long solve holds one thread and the requests
+/// queued behind it go to the others. The loops are the tasks of a single
+/// gang region on the scheduler's own pool (ThreadPool::tryGang gives each
+/// its own thread); at width >= 2 every request therefore solves inside a
+/// pool region, and any inner parallelism the solver asks for (RahtmConfig::
+/// numThreads) runs inline and serial on its serving thread, which the
 /// pool's determinism contract makes bit-identical to the standalone run.
+/// At width 1 the one loop runs outside any region, as a one-shot call
+/// does.
 ///
 /// Backpressure: past `maxQueueDepth` queued requests, submit() rejects
-/// with a retry-after estimate (queue depth × EWMA solve time / pool
-/// width) instead of queueing unboundedly — the caller sees `accepted ==
-/// false` and the daemon answers with a retryable error instead of eating
-/// memory. In-flight work is bounded by construction (one wave at a time).
+/// with a retry-after estimate ((queued + in flight + 1) × EWMA solve time
+/// / pool width) instead of queueing unboundedly — the caller sees
+/// `accepted == false` and the daemon answers with a retryable error
+/// instead of eating memory. In-flight work is bounded by the width.
 ///
 /// Observability: every request runs under a "serve.request" trace span
 /// with queue_sec / solve_sec attributes (so --trace-out shows queue wait
-/// vs solve time per request), and the registry carries
-/// `rahtm.serve.{accepted,rejected,completed,errors}` counters, a
-/// `rahtm.serve.queue_depth` gauge and `rahtm.serve.{queue,latency}_sec`
-/// histograms.
+/// vs solve time per request), beats the pool-task heartbeat once, and the
+/// registry carries `rahtm.serve.{accepted,rejected,completed,errors}`
+/// counters, a `rahtm.serve.queue_depth` gauge and
+/// `rahtm.serve.{queue,latency}_sec` histograms.
 
 #include <condition_variable>
 #include <cstdint>
@@ -36,8 +43,7 @@
 namespace rahtm::serve {
 
 struct SchedulerConfig {
-  int threads = 0;        ///< pool width (0 = all hardware threads)
-  int maxBatch = 8;       ///< max requests solved per wave
+  int threads = 0;        ///< serving threads (0 = all hardware threads)
   int maxQueueDepth = 64; ///< reject past this many queued requests
 };
 
@@ -58,11 +64,11 @@ class Scheduler {
   /// Enqueue a request (or reject it under backpressure).
   Ticket submit(MapRequest req);
 
-  /// Block until the queue is empty and no wave is in flight.
+  /// Block until the queue is empty and no request is in flight.
   void drain();
 
-  /// Stop accepting, drain what is queued, join the dispatcher. Called by
-  /// the destructor if not already done.
+  /// Stop accepting, serve what is queued, join the serving threads.
+  /// Called by the destructor if not already done.
   void shutdown();
 
   std::int64_t accepted() const { return accepted_; }
@@ -77,7 +83,9 @@ class Scheduler {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  void dispatchLoop();
+  /// One serving thread: solve queued requests until shutdown leaves the
+  /// queue empty.
+  void serveLoop();
   void process(Queued& q);
 
   MapService& service_;
@@ -85,11 +93,11 @@ class Scheduler {
   exec::ThreadPool pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable wake_;  ///< dispatcher waits for work / stop
+  std::condition_variable wake_;  ///< serving threads wait for work / stop
   std::condition_variable idle_;  ///< drain() waits for quiescence
   std::deque<Queued> queue_;
   bool stop_ = false;
-  std::size_t inFlight_ = 0;
+  std::size_t inFlight_ = 0;      ///< requests being solved
   double ewmaSolveSec_ = 0.05;  ///< retry-after estimator
 
   std::int64_t accepted_ = 0;
@@ -97,7 +105,7 @@ class Scheduler {
   std::int64_t completed_ = 0;
   std::int64_t errors_ = 0;
 
-  std::thread dispatcher_;
+  std::thread dispatcher_;  ///< drives the pool region of serving loops
 };
 
 }  // namespace rahtm::serve

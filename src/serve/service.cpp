@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -11,7 +12,7 @@
 #include "mapping/rubik.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/oblivious.hpp"
+#include "routing/delta_eval.hpp"
 #include "workloads/workload.hpp"
 
 namespace rahtm::serve {
@@ -109,8 +110,15 @@ MapResponse MapService::handleWithInput(const MapRequest& req,
     const GraphStats gs = computeStats(input.graph);
     resp.ranks = static_cast<std::int64_t>(gs.ranks);
     resp.flows = static_cast<std::int64_t>(gs.flows);
-    resp.mcl = placementMcl(machine, input.graph, resp.mapping.nodeVector());
-    resp.hopBytes = hopBytes(input.graph, machine, resp.mapping.nodeVector());
+    const std::vector<NodeId>& nodes = resp.mapping.nodeVector();
+    // placementMcl() bit for bit, read from the topology's (cached) route
+    // table instead of re-enumerating every flow's minimal paths.
+    std::vector<double> loads(
+        static_cast<std::size_t>(machine.numChannelSlots()), 0.0);
+    addPlacementRoutes(*routeTableFor(machine, cache_), input.graph, nodes,
+                       loads.data());
+    for (const double load : loads) resp.mcl = std::max(resp.mcl, load);
+    resp.hopBytes = hopBytes(input.graph, machine, nodes);
     if (const auto* rahtm = dynamic_cast<const RahtmMapper*>(mapper.get())) {
       resp.hasRahtmStats = true;
       resp.stats = rahtm->stats();

@@ -12,6 +12,13 @@
 /// its own artifacts); with a cache, per-topology route tables and flow
 /// incidences are shared across requests — with bit-identical mappings, as
 /// the shared artifacts are content-identical to locally built ones.
+///
+/// Scoring: a response's MCL is read from the target topology's route
+/// table (addPlacementRoutes, the kernel the solver's own evaluation
+/// uses), which performs the minimal-path enumeration's additions channel
+/// by channel, so it equals placementMcl() bit for bit without
+/// re-enumerating any path. With a cache the table is built once per
+/// topology; without one, once per call.
 
 #include <cstdint>
 #include <memory>
@@ -69,7 +76,7 @@ struct MapResponse {
   std::int64_t ranks = 0;
   std::int64_t flows = 0;
   Mapping mapping;
-  double mcl = 0;           ///< placementMcl (MAR model)
+  double mcl = 0;           ///< placementMcl (MAR model), bit for bit
   double hopBytes = 0;
   bool hasRahtmStats = false;
   RahtmStats stats;         ///< rahtm mapper only

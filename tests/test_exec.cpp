@@ -206,6 +206,38 @@ TEST(ThreadPool, TryGangRefusesWhenConcurrencyUnavailable) {
   EXPECT_TRUE(pool.tryGang(2, [](std::size_t) {}));
 }
 
+// Inside a region every parallelFor on a new pool runs inline and tryGang
+// refuses, so such a pool starts no workers: one per solve of a served
+// request would otherwise start and join up to 255 idle threads.
+TEST(ThreadPool, PoolBuiltInsideARegionStartsNoWorkers) {
+  exec::ThreadPool outer(2);
+  std::vector<int> width(2, 0);
+  std::atomic<int> foreign{0};
+  outer.parallelFor(2, [&](std::size_t i) {
+    exec::ThreadPool inner(4);
+    width[i] = inner.numThreads();
+    const std::thread::id self = std::this_thread::get_id();
+    inner.parallelFor(3, [&](std::size_t) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+    });
+    // The bound is checked all the same.
+    EXPECT_THROW(exec::ThreadPool(exec::kMaxThreads + 1), PreconditionError);
+  });
+  EXPECT_EQ(width, (std::vector<int>{1, 1}));
+  EXPECT_EQ(foreign.load(), 0);
+  // A gang of two is a region too; a gang of one runs outside any region,
+  // where a pool starts its workers.
+  ASSERT_TRUE(outer.tryGang(2, [&](std::size_t i) {
+    width[i] = exec::ThreadPool(4).numThreads();
+  }));
+  EXPECT_EQ(width, (std::vector<int>{1, 1}));
+  ASSERT_TRUE(outer.tryGang(1, [&](std::size_t i) {
+    width[i] = exec::ThreadPool(3).numThreads();
+  }));
+  EXPECT_EQ(width[0], 3);
+  EXPECT_EQ(exec::ThreadPool(3).numThreads(), 3);
+}
+
 TEST(ThreadPool, UtilizationGaugeRecorded) {
   obs::MetricsRegistry reg;
   obs::setMetrics(&reg);

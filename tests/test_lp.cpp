@@ -240,6 +240,37 @@ TEST(Milp, RespectsNodeBudget) {
               s.status == SolveStatus::Optimal);
 }
 
+TEST(Milp, UnresolvedRootKeepsItsBound) {
+  // Four rows of three binaries, each row holding at most one; minimizing
+  // -sum, the relaxation needs several pivots. One pivot is not enough, so
+  // the root is dropped unresolved: its subtree was never searched, and
+  // the warm start (all zero) must not be reported as a proven bound.
+  Model m;
+  std::vector<VarId> v;
+  for (int i = 0; i < 12; ++i) {
+    v.push_back(m.addBinary("b" + std::to_string(i), -1));
+  }
+  for (int i = 0; i < 4; ++i) {
+    m.addConstraint("row" + std::to_string(i),
+                    {{v[3 * i], 1}, {v[3 * i + 1], 1}, {v[3 * i + 2], 1}},
+                    Sense::LessEq, 1);
+  }
+  MilpOptions opts;
+  opts.simplex.maxIterations = 1;
+  opts.warmStart.assign(12, 0.0);
+  const MilpSolution s = solveMilp(m, opts);
+  ASSERT_TRUE(s.hasIncumbent);
+  EXPECT_EQ(s.objective, 0.0);
+  EXPECT_EQ(s.nodesExplored, 1);
+  EXPECT_EQ(s.status, SolveStatus::IterLimit);
+  EXPECT_LT(s.bestBound, s.objective);
+  // With the pivots it needs, the same model closes its gap at -4.
+  const MilpSolution full = solveMilp(m);
+  ASSERT_EQ(full.status, SolveStatus::Optimal);
+  EXPECT_NEAR(full.objective, -4.0, 1e-9);
+  EXPECT_NEAR(full.bestBound, -4.0, 1e-9);
+}
+
 /// Randomized MILP vs exhaustive enumeration of binary points.
 class MilpRandomized : public ::testing::TestWithParam<int> {};
 

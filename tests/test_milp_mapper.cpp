@@ -8,10 +8,12 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "core/clustering.hpp"
 #include "core/milp_mapper.hpp"
 #include "core/subproblem.hpp"
 #include "routing/lp_routing.hpp"
 #include "topology/torus.hpp"
+#include "workloads/workload.hpp"
 
 namespace rahtm {
 namespace {
@@ -170,6 +172,26 @@ TEST(MilpMapper, ThreeCubeSparseInstance) {
   // (greedy + DOR warm start, possibly improved by the search) reaches 10.
   EXPECT_NEAR(res.objective, 10.0, 1e-5);
   EXPECT_LE(res.bestBound, res.objective + 1e-6);
+}
+
+TEST(MilpMapper, BudgetStoppedRootReportsTimeLimitAndAnOpenBound) {
+  // serve_mix's 3-D class: CG at 16 ranks, concentration 2, on the 2-ary
+  // 3-cube. Its 8 clusters and 20 flows give a 605-variable model whose
+  // root relaxation takes tens of seconds, so a short budget stops it
+  // inside the root. The answer is the warm start, and the report must say
+  // the budget ran out and that nothing below it was proven.
+  const Workload cg = makeNasByName("CG", 16, NasParams{});
+  const CommGraph g = bestTiling(cg.commGraph(), cg.logicalGrid, 2).coarseGraph;
+  ASSERT_EQ(g.numRanks(), 8);
+  ASSERT_EQ(g.numFlows(), 20u);
+  MilpMapOptions opts;
+  opts.timeLimitSec = 0.2;
+  const MilpMapResult res = milpMapToCube(g, Torus::torus(Shape{2, 2, 2}), opts);
+  ASSERT_TRUE(res.solved) << res.statusString;
+  EXPECT_EQ(res.statusString, "time-limit");
+  EXPECT_FALSE(res.provedOptimal);
+  EXPECT_EQ(res.nodesExplored, 1);
+  EXPECT_LT(res.bestBound, res.objective);
 }
 
 // ---- Portfolio dispatch -------------------------------------------------------

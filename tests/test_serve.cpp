@@ -1,13 +1,16 @@
 /// \file test_serve.cpp
 /// The mapping-as-a-service stack: artifact cache (hit/miss accounting,
 /// its byte bound and budget rule, cross-thread build memoization), service
-/// request handling, scheduler admission + backpressure, wire protocol
-/// round-trips — and the headline contract, served mappings bit-identical
-/// to serial one-shot runs whether artifacts come from the cache or are
-/// built locally.
+/// request handling and response scoring, scheduler admission, backpressure
+/// and work-conserving dispatch, wire protocol round-trips — and the
+/// headline contract, served mappings bit-identical to serial one-shot runs
+/// whether artifacts come from the cache or are built locally.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -17,8 +20,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/math.hpp"
 #include "obs/json_reader.hpp"
 #include "obs/mem.hpp"
+#include "routing/oblivious.hpp"
 #include "serve/artifact_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -246,6 +251,60 @@ TEST(MapService, GraphRankMismatchFails) {
   EXPECT_NE(resp.error.find("graph ranks"), std::string::npos);
 }
 
+// The response's MCL is read from the route table, not re-enumerated: it
+// must equal placementMcl() bit for bit, cached and uncached, for every
+// mapper on a 2-ary cube, a torus mixing extents 4 and 2, and a torus of
+// odd extents.
+TEST(MapService, ResponseMclIsPlacementMclBitForBit) {
+  struct Machine {
+    Shape shape;
+    int concentration;
+  };
+  const Machine machines[] = {{{2, 2, 2}, 2}, {{4, 2, 2}, 1}, {{3, 4}, 3}};
+  const char* const mappers[] = {"rahtm", "abcdet", "hilbert", "rht",
+                                 "greedy", "rcb",   "random"};
+  serve::ArtifactCache cache;
+  serve::MapService cached(&cache);
+  serve::MapService uncached;
+  int compared = 0;
+  for (const Machine& m : machines) {
+    const Torus torus = Torus::torus(m.shape);
+    const bool powerOfTwoExtents = std::all_of(
+        m.shape.begin(), m.shape.end(), [](int k) { return isPowerOfTwo(k); });
+    for (const char* benchmark : {"BT", "SP", "CG"}) {
+      serve::MapRequest req = cgRequest(m.shape, m.concentration);
+      req.benchmark = benchmark;
+      // CG takes power-of-two rank counts only.
+      if (req.benchmark == "CG" &&
+          !isPowerOfTwo(torus.numNodes() * m.concentration)) {
+        continue;
+      }
+      const serve::RequestInput input = uncached.buildInput(req);
+      for (const char* mapper : mappers) {
+        req.mapper = mapper;
+        // RAHTM's hierarchy and recursive bisection take power-of-two
+        // extents only.
+        if ((req.mapper == "rahtm" || req.mapper == "rcb") &&
+            !powerOfTwoExtents) {
+          continue;
+        }
+        for (serve::MapService* service : {&cached, &uncached}) {
+          const serve::MapResponse resp = service->handleWithInput(req, input);
+          ASSERT_TRUE(resp.ok) << mapper << " " << benchmark << " on "
+                               << torus.describe() << ": " << resp.error;
+          const double want =
+              placementMcl(torus, input.graph, resp.mapping.nodeVector());
+          EXPECT_EQ(std::memcmp(&resp.mcl, &want, sizeof want), 0)
+              << mapper << " " << benchmark << " on " << torus.describe()
+              << ": " << resp.mcl << " != " << want;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2 * (7 * 3 + 7 * 3 + 5 * 2));
+}
+
 // ---- Scheduler: served results vs serial one-shot -------------------------
 
 TEST(Scheduler, ServedMappingsBitIdenticalToOneShot) {
@@ -264,7 +323,6 @@ TEST(Scheduler, ServedMappingsBitIdenticalToOneShot) {
   serve::MapService service(&cache);
   serve::SchedulerConfig cfg;
   cfg.threads = 4;
-  cfg.maxBatch = 4;
   serve::Scheduler sched(service, cfg);
 
   constexpr int kRepeats = 3;
@@ -311,7 +369,6 @@ TEST(Scheduler, BackpressureRejectsWithRetryAfter) {
   serve::MapService service(&cache);
   serve::SchedulerConfig cfg;
   cfg.threads = 1;
-  cfg.maxBatch = 1;
   cfg.maxQueueDepth = 1;
   serve::Scheduler sched(service, cfg);
 
@@ -328,7 +385,7 @@ TEST(Scheduler, BackpressureRejectsWithRetryAfter) {
     }
   }
   // Solves take milliseconds, submissions microseconds: with depth 1 the
-  // queue is saturated long before the first wave finishes.
+  // queue is saturated long before the first solve finishes.
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(sched.rejected(), rejected);
   EXPECT_EQ(sched.accepted(), accepted.size());
@@ -339,6 +396,78 @@ TEST(Scheduler, BackpressureRejectsWithRetryAfter) {
   }
   sched.drain();
   EXPECT_EQ(sched.completed(), accepted.size());
+}
+
+// A request that solves for a while holds one serving thread; the requests
+// queued behind it go to the other one instead of waiting for the solve.
+TEST(Scheduler, LongSolveDoesNotHoldBackLaterRequests) {
+  serve::ArtifactCache cache;
+  serve::MapService service(&cache);
+  serve::SchedulerConfig cfg;
+  cfg.threads = 2;
+  serve::Scheduler sched(service, cfg);
+
+  serve::Scheduler::Ticket slow = sched.submit(cgRequest({2, 2, 2}, 2));
+  ASSERT_TRUE(slow.accepted);
+  constexpr int kQuick = 12;
+  std::vector<std::future<serve::MapResponse>> quick;
+  for (int i = 0; i < kQuick; ++i) {
+    serve::MapRequest req = cgRequest({4, 4}, 1);
+    req.mapper = "abcdet";
+    serve::Scheduler::Ticket t = sched.submit(req);
+    ASSERT_TRUE(t.accepted);
+    quick.push_back(std::move(t.response));
+  }
+  const serve::MapResponse slowResp = slow.response.get();
+  ASSERT_TRUE(slowResp.ok) << slowResp.error;
+  for (int i = 0; i < kQuick; ++i) {
+    const serve::MapResponse resp = quick[static_cast<std::size_t>(i)].get();
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_LT(resp.queueSeconds, 0.5 * slowResp.solveSeconds)
+        << "quick request " << i << " waited " << resp.queueSeconds
+        << " s behind a " << slowResp.solveSeconds << " s solve";
+  }
+}
+
+TEST(Scheduler, DrainAndShutdownServeEverythingQueued) {
+  serve::ArtifactCache cache;
+  serve::MapService service(&cache);
+  serve::SchedulerConfig cfg;
+  cfg.threads = 2;
+  serve::Scheduler sched(service, cfg);
+  const auto submitAll = [&](int n) {
+    std::vector<std::future<serve::MapResponse>> futures;
+    for (int i = 0; i < n; ++i) {
+      serve::MapRequest req = cgRequest({4, 4}, 1);
+      req.mapper = i % 2 == 0 ? "abcdet" : "hilbert";
+      serve::Scheduler::Ticket t = sched.submit(req);
+      EXPECT_TRUE(t.accepted);
+      futures.push_back(std::move(t.response));
+    }
+    return futures;
+  };
+
+  // drain() returns once every accepted request has its response.
+  std::vector<std::future<serve::MapResponse>> drained = submitAll(16);
+  sched.drain();
+  EXPECT_EQ(sched.completed(), 16);
+  for (auto& f : drained) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_TRUE(f.get().ok);
+  }
+
+  // shutdown() right after submitting still serves everything queued, and
+  // refuses what comes after it.
+  std::vector<std::future<serve::MapResponse>> queued = submitAll(16);
+  sched.shutdown();
+  EXPECT_EQ(sched.completed(), 32);
+  EXPECT_EQ(sched.errors(), 0);
+  for (auto& f : queued) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_TRUE(f.get().ok);
+  }
+  EXPECT_FALSE(sched.submit(cgRequest({4, 4}, 1)).accepted);
+  EXPECT_EQ(sched.rejected(), 1);
 }
 
 // ---- Protocol -------------------------------------------------------------

@@ -31,7 +31,7 @@ run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # parallel pipeline paths (the serial suites add nothing under TSan).
 # test_simnet covers the sharded parallel simulator (spin-barrier cycle
 # loop, mailbox handoffs, gang scheduling on a shared pool); test_serve the
-# cross-request artifact cache and the scheduler's concurrent waves;
+# cross-request artifact cache and the scheduler's serving threads;
 # test_delta_eval annealing restarts on the pool over one shared route
 # table; test_mem the memory registry and its budget, which pool workers
 # and the watchdog thread share. test_merge is serial today; it rides

@@ -3,11 +3,11 @@
 /// (rahtm.serve.request/v1 in, rahtm.serve.response/v1 out) over either a
 /// Unix stream socket (daemon mode) or stdin/stdout (batch mode, used by
 /// CI). Requests are admitted through the serve::Scheduler (bounded queue,
-/// reject-with-retry-after past the depth limit) and solved in batched
-/// fork-join waves on a shared thread pool; per-topology route tables and
-/// flow incidences are shared across requests through the
-/// serve::ArtifactCache, with bit-identical mappings to one-shot
-/// rahtm_map runs at equal seeds.
+/// reject-with-retry-after past the depth limit) and solved by its serving
+/// threads, each taking the next queued request as soon as it finishes
+/// one; per-topology route tables and flow incidences are shared across
+/// requests through the serve::ArtifactCache, with bit-identical mappings
+/// to one-shot rahtm_map runs at equal seeds.
 ///
 /// Usage:
 ///   rahtm_serve --stdin < requests.ndjson > responses.ndjson
@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -47,14 +48,14 @@ namespace {
 using namespace rahtm;
 
 const std::vector<std::string> kFlags = {
-    "help", "stdin", "socket", "threads", "batch", "queue-depth",
+    "help", "stdin", "socket", "threads", "queue-depth",
     "no-mapping", "map-out-dir", "trace-out", "trace-summary", "metrics-out",
     "mem-report", "mem-budget-mb", "verbose"};
 
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " (--stdin | --socket PATH)\n"
-      << "          [--threads N] [--batch N] [--queue-depth N]\n"
+      << "          [--threads N] [--queue-depth N]\n"
       << "          [--no-mapping] [--map-out-dir DIR]\n"
       << "          [--trace-out FILE] [--trace-summary FILE] "
          "[--metrics-out FILE]\n"
@@ -66,10 +67,15 @@ int usage(const char* argv0) {
       << "--socket listens on a Unix stream socket; each connection is an\n"
       << "NDJSON session with responses in per-connection request order.\n"
       << "\n"
-      << "--threads N sizes the solve pool (0 = all hardware threads);\n"
-      << "--batch N caps the requests per fork-join wave; --queue-depth N\n"
-      << "bounds the admission queue -- past it, submissions are rejected\n"
-      << "with a retry-after hint (batch mode retries internally).\n"
+      << "--threads N serving threads solve requests in arrival order, each\n"
+      << "taking the next queued request as soon as it finishes one, so a\n"
+      << "long solve never holds back the requests behind it while another\n"
+      << "thread is free (0 = all hardware threads, at most "
+      << exec::kMaxThreads << ").\n"
+      << "--queue-depth N (1.." << std::numeric_limits<int>::max()
+      << ", default 64) bounds the admission\n"
+      << "queue -- past it, submissions are rejected with a retry-after\n"
+      << "hint (batch mode retries internally).\n"
       << "\n"
       << "Route tables and flow incidences are shared across requests\n"
       << "through an artifact cache of at most 256 MiB; past it, or once\n"
@@ -82,6 +88,23 @@ int usage(const char* argv0) {
       << "--map-out-dir writes each successful mapping as DIR/<id>.map\n"
       << "(BG/Q mapfile, same writer as rahtm_map).\n";
   return 2;
+}
+
+/// --queue-depth: 1 through INT_MAX (default 64); anything else is a
+/// ParseError naming the flag.
+int parseQueueDepth(const CliArgs& args) {
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  std::int64_t depth = 0;
+  try {
+    depth = args.getInt("queue-depth", 64);
+  } catch (const ParseError& e) {
+    throw ParseError(std::string("--queue-depth: ") + e.what());
+  }
+  if (depth < 1 || depth > kMax) {
+    throw ParseError("--queue-depth must be 1.." + std::to_string(kMax) +
+                     ", got " + std::to_string(depth));
+  }
+  return static_cast<int>(depth);
 }
 
 struct ServeOptions {
@@ -301,9 +324,7 @@ int main(int argc, char** argv) {
     ServeOptions opt;
     opt.sched.threads =
         exec::parseThreads(args.getString("threads", "0"), "--threads");
-    opt.sched.maxBatch = static_cast<int>(args.getInt("batch", 8));
-    opt.sched.maxQueueDepth =
-        static_cast<int>(args.getInt("queue-depth", 64));
+    opt.sched.maxQueueDepth = parseQueueDepth(args);
     opt.includeMapping = !args.getBool("no-mapping");
     opt.mapOutDir = args.getString("map-out-dir", "");
     if (!opt.mapOutDir.empty()) {
