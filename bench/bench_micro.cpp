@@ -1,11 +1,14 @@
 /// \file bench_micro.cpp
 /// google-benchmark microbenchmarks of the performance-critical kernels:
 /// the oblivious channel-load accumulation, the exhaustive leaf solve, the
-/// simplex solver, the cycle-level simulator and the orientation machinery.
-/// These are the kernels whose cost determines the §V-B optimization time.
+/// simplex solver, the cycle-level simulator, the routing-oblivious
+/// baseline mappers and the orientation machinery. These are the kernels
+/// whose cost determines the §V-B optimization time.
 
 #include <benchmark/benchmark.h>
 
+#include "core/bisection_mapper.hpp"
+#include "core/greedy_mapper.hpp"
 #include "core/subproblem.hpp"
 #include "lp/simplex.hpp"
 #include "mapping/hilbert.hpp"
@@ -92,6 +95,43 @@ void BM_SimulatorPhase(benchmark::State& state) {
   state.SetItemsProcessed(flits);
 }
 BENCHMARK(BM_SimulatorPhase)->Unit(benchmark::kMillisecond);
+
+/// NAS benchmark of the baseline-mapper benchmarks: BT, SP, CG by argument.
+const char* const kNas[] = {"BT", "SP", "CG"};
+
+/// One map of 1024 ranks on the 4x4x4x4 torus at concentration 4, the
+/// Fig. 10 evaluation's baseline-mapper size.
+template <typename MakeMapper>
+void runBaselineMap(benchmark::State& state, MakeMapper makeMapper) {
+  const Torus t = Torus::torus(Shape{4, 4, 4, 4});
+  const int c = 4;
+  const char* name = kNas[state.range(0)];
+  const Workload w =
+      makeNasByName(name, static_cast<RankId>(t.numNodes() * c));
+  const CommGraph g = w.commGraph();
+  auto mapper = makeMapper(w);
+  for (auto _ : state) {
+    const Mapping m = mapper.map(g, t, c);
+    benchmark::DoNotOptimize(m.nodeVector().data());
+  }
+  state.SetLabel(name);
+}
+
+void BM_GreedyMap(benchmark::State& state) {
+  runBaselineMap(state, [](const Workload& w) {
+    return GreedyHopBytesMapper(w.logicalGrid);
+  });
+}
+BENCHMARK(BM_GreedyMap)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+void BM_BisectionMap(benchmark::State& state) {
+  runBaselineMap(state, [](const Workload& w) {
+    BisectionConfig cfg;
+    cfg.logicalGrid = w.logicalGrid;
+    return RecursiveBisectionMapper(cfg);
+  });
+}
+BENCHMARK(BM_BisectionMap)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 void BM_EnumerateOrientations(benchmark::State& state) {
   const Shape shape{2, 2, 2, 2};

@@ -48,27 +48,49 @@ std::pair<std::vector<std::size_t>, std::vector<std::size_t>> klBisect(
     }
     return external - internal;
   };
+  // gain[i] == gainOf(i) for the current sides: a swap changes the sides of
+  // its pair only, so the pair's gains and their neighbours' are recomputed.
+  std::vector<double> gain(n);
+  for (std::size_t i = 0; i < n; ++i) gain[i] = gainOf(i);
+  const auto refreshAround = [&](std::size_t i) {
+    gain[i] = gainOf(i);
+    for (const auto& [peer, w] : adj[verts[i]]) {
+      if (peer < local.size() && local[peer] != SIZE_MAX) {
+        gain[local[peer]] = gainOf(local[peer]);
+      }
+    }
+  };
+  // weightTo[b] = w(a, b) while a's b-scan runs: summed in a's adjacency
+  // order from zero, as a scan of that list for b would, and zeroed after.
+  std::vector<double> weightTo(n, 0.0);
+  const auto fillWeights = [&](std::size_t a, bool clear) {
+    for (const auto& [peer, w] : adj[verts[a]]) {
+      if (peer >= local.size() || local[peer] == SIZE_MAX) continue;
+      double& cell = weightTo[local[peer]];
+      cell = clear ? 0.0 : cell + w;
+    }
+  };
 
   for (int pass = 0; pass < passes; ++pass) {
     // Greedy KL pass: repeatedly take the best positive-gain swap.
     bool improved = false;
     for (std::size_t a = 0; a < n; ++a) {
       if (side[a] != 0) continue;
+      fillWeights(a, false);
       for (std::size_t b = 0; b < n; ++b) {
         if (side[b] != 1) continue;
         // Swap gain = gain(a) + gain(b) - 2*w(a,b).
-        double wab = 0;
-        for (const auto& [peer, w] : adj[verts[a]]) {
-          if (peer == verts[b]) wab += w;
-        }
-        const double gain = gainOf(a) + gainOf(b) - 2 * wab;
-        if (gain > 1e-12) {
+        const double swapGain = gain[a] + gain[b] - 2 * weightTo[b];
+        if (swapGain > 1e-12) {
           side[a] = 1;
           side[b] = 0;
+          refreshAround(a);
+          refreshAround(b);
           improved = true;
           break;  // sides changed; restart b-scan with fresh gains
         }
       }
+      fillWeights(a, true);
     }
     if (!improved) break;
   }

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "core/clustering.hpp"
+#include "topology/offset_table.hpp"
 
 namespace rahtm {
 
@@ -40,6 +41,7 @@ Mapping GreedyHopBytesMapper::map(const CommGraph& graph, const Torus& topo,
     for (const auto& [peer, vol] : adj[c]) totalVolume[c] += vol;
   }
 
+  const OffsetTable offsets(topo);
   std::vector<NodeId> place(n, kInvalidNode);
   std::vector<bool> nodeUsed(static_cast<std::size_t>(topo.numNodes()), false);
   std::vector<double> attraction(n, 0);  // volume toward placed clusters
@@ -66,7 +68,7 @@ Mapping GreedyHopBytesMapper::map(const CommGraph& graph, const Torus& topo,
       double cost = 0;
       for (const auto& [peer, vol] : adj[pick]) {
         if (!placed[peer]) continue;
-        cost += vol * static_cast<double>(topo.distance(v, place[peer]));
+        cost += vol * static_cast<double>(offsets.distance(v, place[peer]));
       }
       if (cost < bestCost) {
         bestCost = cost;

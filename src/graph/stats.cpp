@@ -1,6 +1,7 @@
 #include "graph/stats.hpp"
 
 #include "common/error.hpp"
+#include "topology/offset_table.hpp"
 
 namespace rahtm {
 
@@ -18,12 +19,13 @@ double hopBytes(const CommGraph& g, const Torus& t,
                 const std::vector<NodeId>& nodeOfRank) {
   RAHTM_REQUIRE(nodeOfRank.size() >= static_cast<std::size_t>(g.numRanks()),
                 "hopBytes: placement too small");
+  const OffsetTable offsets(t);
   double hb = 0;
   for (const Flow& f : g.flows()) {
     const NodeId u = nodeOfRank[static_cast<std::size_t>(f.src)];
     const NodeId v = nodeOfRank[static_cast<std::size_t>(f.dst)];
     RAHTM_REQUIRE(u >= 0 && v >= 0, "hopBytes: unmapped rank");
-    hb += f.bytes * static_cast<double>(t.distance(u, v));
+    hb += f.bytes * static_cast<double>(offsets.distance(u, v));
   }
   return hb;
 }

@@ -42,10 +42,14 @@ class Simplex {
   LpSolution run() {
     LpSolution out;
     struct PivotExport {
-      // Export the pivot count on every return path.
+      // Export the work counts on every return path.
       const Simplex& s;
       LpSolution& o;
-      ~PivotExport() { o.pivots = s.pivots_; }
+      ~PivotExport() {
+        o.pivots = s.pivots_;
+        o.refactorizations = s.refactorizations_;
+        o.singularBasis = s.singularBasis_;
+      }
     } pivotExport{*this, out};
     // ---- Phase 1: minimize sum of artificials ----
     setPhase1Costs();
@@ -190,6 +194,7 @@ class Simplex {
   /// callers abandon the solve with IterLimit, which the MILP layer treats
   /// as an unresolved (never silently pruned) node.
   bool refactorize() {
+    ++refactorizations_;
     // Build the basis matrix augmented with identity.
     std::vector<double> binv(static_cast<std::size_t>(m_) * m_, 0);
     std::vector<double> bmat(static_cast<std::size_t>(m_) * m_, 0);
@@ -210,7 +215,10 @@ class Simplex {
           pivRow = i;
         }
       }
-      if (best <= 1e-12) return false;  // numerically singular basis
+      if (best <= 1e-12) {  // numerically singular basis
+        singularBasis_ = true;
+        return false;
+      }
       if (pivRow != p) {
         for (int j = 0; j < m_; ++j) {
           std::swap(bmat[static_cast<std::size_t>(pivRow) * m_ + j],
@@ -476,6 +484,8 @@ class Simplex {
   std::vector<ColState> state_;
   bool phase1_ = true;
   long pivots_ = 0;
+  long refactorizations_ = 0;
+  bool singularBasis_ = false;
   Timer timer_;  ///< started at construction; enforces timeLimitSec
 
   mutable std::vector<double> colBuf_;
@@ -492,6 +502,8 @@ void recordSolve(const LpSolution& out) {
   if (reg == nullptr) return;
   reg->counter("lp.simplex.solves").add(1);
   reg->counter("lp.simplex.pivots").add(out.pivots);
+  reg->counter("lp.simplex.refactorizations").add(out.refactorizations);
+  reg->counter("lp.simplex.singular_bases").add(out.singularBasis ? 1 : 0);
   reg->histogram("lp.simplex.pivots_per_solve", obs::expBuckets(1, 2, 20))
       .observe(static_cast<double>(out.pivots));
 }

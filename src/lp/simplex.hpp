@@ -38,6 +38,12 @@ struct LpSolution {
   double objective = 0;
   std::vector<double> x;  ///< values of the model's variables
   long pivots = 0;        ///< basis changes across both phases
+  /// Tableau rebuilds from the original data: one at the start of each
+  /// phase, then one every SimplexOptions::refactorEvery pivots.
+  long refactorizations = 0;
+  /// A rebuild found the basis numerically singular, which ends the solve
+  /// with IterLimit.
+  bool singularBasis = false;
 };
 
 struct SimplexOptions {

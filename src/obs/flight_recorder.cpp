@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+
+#include "obs/mem.hpp"
 
 namespace rahtm::obs {
 
@@ -62,13 +65,23 @@ FlightRecorder::FlightRecorder(std::size_t capacityPerThread, int maxThreads)
       maxThreads_(std::clamp(maxThreads, 1, kMaxThreads)),
       gen_(gNextRecorderGen.fetch_add(1, std::memory_order_relaxed)),
       epoch_(std::chrono::steady_clock::now()),
-      storage_(capacity_ * static_cast<std::size_t>(maxThreads_)) {
+      // Zeroed pages on first touch: a ring becomes resident as its thread
+      // writes it, not here. All-zero bytes are a default-constructed
+      // FlightEventRecord. calloc refuses a size that overflows, which a
+      // huge RAHTM_RECORDER_CAPACITY would otherwise wrap.
+      storage_(static_cast<FlightEventRecord*>(std::calloc(
+          capacity_,
+          static_cast<std::size_t>(maxThreads_) * sizeof(FlightEventRecord)))) {
+  if (!storage_) throw std::bad_alloc();
   for (int i = 0; i < maxThreads_; ++i) {
     slots_[static_cast<std::size_t>(i)].ring =
-        storage_.data() + static_cast<std::size_t>(i) * capacity_;
+        storage_.get() + static_cast<std::size_t>(i) * capacity_;
   }
-  mem_.set(static_cast<std::int64_t>(storage_.capacity() *
-                                     sizeof(FlightEventRecord)));
+}
+
+FlightRecorder::~FlightRecorder() {
+  MemRegistry::instance().untrack(MemAccountId::Obs,
+                                  threadSlots() * ringBytes());
 }
 
 std::int64_t FlightRecorder::nowUs() const {
@@ -111,8 +124,19 @@ int FlightRecorder::registerThread() {
       return i;
     }
   }
+  // Charge the ring before claiming a slot. A budget refusal leaves the
+  // thread without a slot, so its events drop as they do when the table is
+  // full: record() never throws.
+  try {
+    track(MemAccountId::Obs, ringBytes());
+  } catch (const MemBudgetError&) {
+    return -1;
+  }
   const int s = slotCount_.fetch_add(1, std::memory_order_acq_rel);
-  if (s >= maxThreads_) return -1;  // table exhausted; events will drop
+  if (s >= maxThreads_) {  // table exhausted; events will drop
+    MemRegistry::instance().untrack(MemAccountId::Obs, ringBytes());
+    return -1;
+  }
   slots_[static_cast<std::size_t>(s)].owner.store(self,
                                                   std::memory_order_release);
   return s;

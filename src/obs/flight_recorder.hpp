@@ -15,7 +15,11 @@
 ///     allocation, no clock syscalls beyond one steady_clock read;
 ///   * hot loops record *milestones* (every 2^k pivots / cycles /
 ///     iterations), not individual operations;
-///   * rings are bounded: old events are overwritten, never reallocated.
+///   * rings are bounded: old events are overwritten, never reallocated;
+///   * ring storage is reserved at construction as zeroed pages the kernel
+///     supplies on first touch, so a ring costs resident memory only as
+///     its thread writes it, and the `obs` account is charged one ring
+///     when a thread registers its slot.
 ///
 /// Concurrency contract: each ring has exactly one writer (its owning
 /// thread). Readers (watchdog, post-mortem writer, snapshot()) copy the
@@ -33,10 +37,10 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
-
-#include "obs/mem.hpp"
 
 namespace rahtm::obs {
 
@@ -85,6 +89,10 @@ class FlightRecorder {
   /// goes through instance(). \p maxThreads is clamped to [1, kMaxThreads].
   explicit FlightRecorder(std::size_t capacityPerThread = kDefaultCapacity,
                           int maxThreads = kMaxThreads);
+  /// Returns the registered slots' rings to the `obs` account.
+  ~FlightRecorder();
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Record one event on the calling thread's ring. Wait-free; drops (and
   /// counts) the event when the thread-slot table is exhausted or the
@@ -152,19 +160,28 @@ class FlightRecorder {
     FlightEventRecord* ring = nullptr;
   };
 
+  struct FreeStorage {
+    void operator()(FlightEventRecord* p) const { std::free(p); }
+  };
+
   int threadSlot();
   int registerThread();
+  /// Bytes of one slot's ring, charged to `obs` when the slot registers.
+  std::int64_t ringBytes() const {
+    return static_cast<std::int64_t>(capacity_ * sizeof(FlightEventRecord));
+  }
 
   std::size_t capacity_;
   int maxThreads_;
   std::uint64_t gen_;  ///< process-unique id for the thread-slot cache
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<FlightEventRecord> storage_;  ///< pre-reserved, never resized
+  /// Every slot's ring, zeroed pages from calloc; never resized, so each
+  /// ring pointer is fixed at construction.
+  std::unique_ptr<FlightEventRecord[], FreeStorage> storage_;
   std::array<Slot, kMaxThreads> slots_;
   std::atomic<int> slotCount_{0};
   std::atomic<std::int64_t> droppedEvents_{0};
   std::atomic<bool> enabled_{true};
-  obs::MemAccount mem_{obs::MemAccountId::Obs};  ///< pre-reserved ring storage
 };
 
 }  // namespace rahtm::obs

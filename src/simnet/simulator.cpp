@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/delta_eval.hpp"
+#include "topology/offset_table.hpp"
 
 namespace rahtm::simnet {
 
@@ -42,7 +44,6 @@ constexpr std::int32_t kNoQueue = -1;
 
 struct Queue {
   std::deque<Packet> packets;
-  std::int64_t flitsQueued = 0;   ///< total flits waiting (adaptivity signal)
   std::int64_t flitsCarried = 0;  ///< stats: flits transmitted on this queue
   // While it holds packets, the queue waits in its shard's timing wheel for
   // the cycle in which its head packet completes (see drainShard).
@@ -152,7 +153,7 @@ class IterationSim {
  public:
   IterationSim(const Torus& topo, const Mapping& mapping,
                const SimConfig& config)
-      : topo_(topo), mapping_(mapping), cfg_(config) {
+      : topo_(topo), mapping_(mapping), cfg_(config), offsets_(topo) {
     RAHTM_REQUIRE(cfg_.bytesPerFlit > 0 && cfg_.packetFlits > 0 &&
                       cfg_.localBandwidth > 0 && cfg_.injectionBandwidth > 0,
                   "SimConfig: parameters must be positive");
@@ -162,12 +163,9 @@ class IterationSim {
     queues_.resize(slots + 2 * nodes);
     RAHTM_REQUIRE(queues_.size() <= static_cast<std::size_t>(INT32_MAX),
                   "simulate: topology too large");
-    coords_.resize(nodes * ndims);
+    occupancy_.assign(queues_.size(), 0);
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
       const Coord c = topo.coordOf(n);
-      for (std::size_t d = 0; d < ndims; ++d) {
-        coords_[static_cast<std::size_t>(n) * ndims + d] = c[d];
-      }
       for (std::size_t d = 0; d < ndims; ++d) {
         for (const Dir dir : {Dir::Plus, Dir::Minus}) {
           const auto nb = topo.neighbor(c, d, dir);
@@ -185,20 +183,6 @@ class IterationSim {
     }
     slots_ = slots;
     nodes_ = nodes;
-    // Minimal offsets by translation symmetry: dimension d's offset from
-    // coordinate a to b depends only on b - a, so one row of 2k-1 entries
-    // per dimension serves every node pair (see chooseOutput).
-    for (std::size_t d = 0; d < ndims; ++d) {
-      const std::int32_t k = topo.extent(d);
-      offsetAt_.push_back(static_cast<std::ptrdiff_t>(offsets_.size()) + k - 1);
-      Coord a(ndims, 0);
-      Coord b(ndims, 0);
-      for (std::int32_t delta = 1 - k; delta < k; ++delta) {
-        a[d] = std::max(0, -delta);
-        b[d] = a[d] + delta;
-        offsets_.push_back(topo.minimalOffset(a, b, d));
-      }
-    }
 
     // Shard layout: a balanced contiguous node partition. The shard count
     // is a pure function of the topology — thread counts only decide how
@@ -419,11 +403,14 @@ class IterationSim {
   }
 
   /// Recompute the footprint charged to the simnet account: the sharded
-  /// queue array with its live packets, mailboxes, message table and
-  /// per-rank dependency state. Called at construction, after stage
-  /// loading and at end-of-run — never inside the cycle loop.
+  /// queue array with its live packets and occupancies, the offset table,
+  /// mailboxes, message table and per-rank dependency state. Called at
+  /// construction, after stage loading and at end-of-run — never inside
+  /// the cycle loop.
   void accountBytes() {
-    std::size_t b = queues_.capacity() * sizeof(Queue);
+    std::size_t b = queues_.capacity() * sizeof(Queue) +
+                    occupancy_.capacity() * sizeof(std::int64_t) +
+                    static_cast<std::size_t>(offsets_.footprintBytes());
     for (const Queue& q : queues_) b += q.packets.size() * sizeof(Packet);
     b += shardOfNode_.capacity() * sizeof(std::int32_t) +
          shardOfQueue_.capacity() * sizeof(std::int32_t) +
@@ -433,9 +420,7 @@ class IterationSim {
            s.deliveries.capacity() * sizeof(Delivery);
     }
     for (const Mailbox& mb : mail_) b += mb.box.capacity() * sizeof(Handoff);
-    b += coords_.capacity() * sizeof(std::int32_t) +
-         offsets_.capacity() * sizeof(MinimalOffset) +
-         nextSend_.capacity() * sizeof(std::size_t);
+    b += nextSend_.capacity() * sizeof(std::size_t);
     b += messages_.capacity() * sizeof(MessageState) +
          rankStage_.capacity() * sizeof(std::int32_t) +
          staged_.capacity() * sizeof(StagedPacket);
@@ -531,7 +516,7 @@ class IterationSim {
   void enqueue(std::ptrdiff_t qIdx, const Packet& pkt, std::int64_t cycle) {
     const auto i = static_cast<std::size_t>(qIdx);
     Queue& q = queues_[i];
-    q.flitsQueued += pkt.flits;
+    occupancy_[i] += pkt.flits;
     q.packets.push_back(pkt);
     if (q.packets.size() == 1) {
       Shard& shard = shards_[static_cast<std::size_t>(shardOfQueue_[i])];
@@ -542,56 +527,31 @@ class IterationSim {
 
   /// Pick the output channel queue at \p at for a packet headed to \p dst,
   /// drawing tie-break randomness from \p rng (the owning shard's stream).
+  /// Every routing mode reads the one list of minimal outputs of the
+  /// (at, dst) offset class, in its order: dimensions ascending, each
+  /// canonical direction before its tie partner.
   std::size_t chooseOutput(NodeId at, NodeId dst, Rng& rng) {
-    const std::size_t ndims = topo_.ndims();
-    const std::size_t atBase = static_cast<std::size_t>(at) * ndims;
-    const std::int32_t* ca = &coords_[atBase];
-    const std::int32_t* cd = &coords_[static_cast<std::size_t>(dst) * ndims];
-
-    SmallVec<std::size_t, 2 * kMaxDims> candidates;
-    SmallVec<std::int32_t, 2 * kMaxDims> steps;
-    for (std::size_t d = 0; d < ndims; ++d) {
-      const MinimalOffset& off =
-          offsets_[static_cast<std::size_t>(offsetAt_[d] + (cd[d] - ca[d]))];
-      if (off.steps == 0) continue;
-      // Channel ids are laid out (node * ndims + dim) * 2 + dir.
-      const std::size_t plus = (atBase + d) * 2;
-      const auto channel = [plus](Dir dir) {
-        return plus + static_cast<std::size_t>(dir);
-      };
-      if (cfg_.routing == RoutingMode::DimensionOrder) return channel(off.dir);
-      candidates.push_back(channel(off.dir));
-      steps.push_back(off.steps);
-      if (off.tie) {
-        candidates.push_back(channel(opposite(off.dir)));
-        steps.push_back(off.steps);
-      }
-    }
-    RAHTM_REQUIRE(!candidates.empty(), "chooseOutput: no productive channel");
+    const std::span<const OffsetTable::Output> outs = offsets_.outputs(at, dst);
+    RAHTM_REQUIRE(!outs.empty(), "chooseOutput: no productive channel");
+    // Channel ids are laid out (node * ndims + dim) * 2 + dir.
+    const std::size_t base = static_cast<std::size_t>(at) * topo_.ndims() * 2;
+    if (cfg_.routing == RoutingMode::DimensionOrder) return base + outs[0].slot;
 
     if (cfg_.routing == RoutingMode::UniformMinimal) {
       // Sample the next hop with probability proportional to the number of
       // minimal paths continuing through it; tie directions split their
       // dimension's weight evenly.
+      const auto weight = [](const OffsetTable::Output& o) {
+        return static_cast<double>(o.steps) / (o.tie ? 2 : 1);
+      };
       double weightSum = 0;
-      SmallVec<double, 2 * kMaxDims> weight(candidates.size(), 0);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        int share = 0;
-        for (std::size_t j = 0; j < candidates.size(); ++j) {
-          if ((candidates[i] >> 1) % topo_.ndims() ==
-              (candidates[j] >> 1) % topo_.ndims()) {
-            ++share;
-          }
-        }
-        weight[i] = static_cast<double>(steps[i]) / share;
-        weightSum += weight[i];
-      }
+      for (const OffsetTable::Output& o : outs) weightSum += weight(o);
       double pick = rng.nextDouble() * weightSum;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        pick -= weight[i];
-        if (pick <= 0) return candidates[i];
+      for (const OffsetTable::Output& o : outs) {
+        pick -= weight(o);
+        if (pick <= 0) return base + o.slot;
       }
-      return candidates.back();
+      return base + outs.back().slot;
     }
 
     // MinimalAdaptive: least-occupied candidate, uniform random tie-break
@@ -600,8 +560,9 @@ class IterationSim {
     std::size_t best = SIZE_MAX;
     std::int64_t bestOcc = 0;
     std::size_t tieCount = 0;
-    for (const std::size_t idx : candidates) {
-      const std::int64_t occ = queues_[idx].flitsQueued;
+    for (const OffsetTable::Output& o : outs) {
+      const std::size_t idx = base + o.slot;
+      const std::int64_t occ = occupancy_[idx];
       if (best == SIZE_MAX || occ < bestOcc) {
         best = idx;
         bestOcc = occ;
@@ -637,11 +598,10 @@ class IterationSim {
     for (std::size_t i = 0; i < slots_; ++i) {
       const Queue& q = queues_[i];
       if (q.linkDst == kInvalidNode) continue;
-      if (hQueue_ != nullptr) {
-        hQueue_->observe(static_cast<double>(q.flitsQueued));
-      }
-      sample.queuedFlits += q.flitsQueued;
-      sample.maxQueueFlits = std::max(sample.maxQueueFlits, q.flitsQueued);
+      const std::int64_t queued = occupancy_[i];
+      if (hQueue_ != nullptr) hQueue_->observe(static_cast<double>(queued));
+      sample.queuedFlits += queued;
+      sample.maxQueueFlits = std::max(sample.maxQueueFlits, queued);
       if (!q.packets.empty()) ++sample.activeLinks;
     }
     if (cfg_.linkCapture != nullptr) cfg_.linkCapture->samples.push_back(sample);
@@ -694,7 +654,7 @@ class IterationSim {
       for (;;) {
         const Packet done = q.packets.front();
         q.packets.pop_front();
-        q.flitsQueued -= done.flits;
+        occupancy_[static_cast<std::size_t>(qIdx)] -= done.flits;
         q.flitsCarried += done.flits;
         switch (q.kind) {
           case QueueKind::Local:
@@ -827,7 +787,12 @@ class IterationSim {
   const Torus& topo_;
   const Mapping& mapping_;
   SimConfig cfg_;
+  const OffsetTable offsets_;
   std::vector<Queue> queues_;
+  /// Flits waiting in each queue (the adaptive-routing signal), indexed
+  /// like queues_. Written wherever the queue itself is: by its owning
+  /// shard in phases A and B, and by phase C's injections.
+  std::vector<std::int64_t> occupancy_;
   std::size_t slots_ = 0;
   std::size_t nodes_ = 0;
 
@@ -839,12 +804,6 @@ class IterationSim {
   /// Bit t of entry s: mailbox (s, t) got handoffs in this cycle's drain.
   /// Written by shard s in phase A, read by every shard in phase B.
   std::array<std::uint32_t, kMaxShards> mailMask_{};
-
-  std::vector<std::int32_t> coords_;  ///< [node * ndims + dim]
-  std::vector<MinimalOffset> offsets_;
-  /// Dimension d's minimal offset from coordinate a to coordinate b is
-  /// offsets_[offsetAt_[d] + b - a].
-  SmallVec<std::ptrdiff_t, kMaxDims> offsetAt_;
 
   std::vector<MessageState> messages_;
   std::vector<std::vector<std::int32_t>> sentBy_;
@@ -906,6 +865,7 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
   const auto nodes = static_cast<std::size_t>(topo.numNodes());
   const auto slots = static_cast<std::size_t>(topo.numChannelSlots());
   const RouteTable routes(topo);
+  const OffsetTable offsets(topo);
   std::vector<double> total(slots, 0.0);
   std::vector<double> stage(slots, 0.0);
   std::vector<std::int64_t> inj(nodes, 0);
@@ -940,7 +900,7 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
       }
       inj[static_cast<std::size_t>(srcNode)] += flits;
       r.networkFlits += flits;
-      const std::int32_t dist = topo.distance(srcNode, dstNode);
+      const std::int32_t dist = offsets.distance(srcNode, dstNode);
       r.flitHops += flits * dist;
       addRoute(routes.find(srcNode, dstNode), static_cast<double>(flits),
                stage.data());

@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json_reader.hpp"
+#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/telemetry.hpp"
@@ -71,6 +72,57 @@ TEST(FlightRecorder, SlotExhaustionCountsDrops) {
   EXPECT_EQ(rec.droppedEvents(), 3);
   EXPECT_EQ(rec.totalRecorded(), 1u);
   EXPECT_EQ(rec.threadSlots(), 1);
+}
+
+// Ring pages are not charged (nor touched) until a thread registers its
+// slot; each registered slot then adds exactly one ring to the obs account,
+// and the recorder's destruction returns them.
+TEST(FlightRecorder, ChargesEachRingWhenItsSlotRegisters) {
+  MemRegistry& mem = MemRegistry::instance();
+  constexpr std::size_t kCapacity = 16;
+  const auto ring =
+      static_cast<std::int64_t>(kCapacity * sizeof(FlightEventRecord));
+  const std::int64_t before = mem.currentBytes(MemAccountId::Obs);
+  {
+    FlightRecorder rec(kCapacity, /*maxThreads=*/2);
+    EXPECT_EQ(mem.currentBytes(MemAccountId::Obs), before);
+    rec.record(FrEvent::Custom, 1);
+    rec.record(FrEvent::Custom, 2);  // same slot, no second charge
+    EXPECT_EQ(mem.currentBytes(MemAccountId::Obs), before + ring);
+    // The second thread stays alive while the third records, so the third
+    // cannot inherit its thread id (and slot).
+    std::atomic<bool> release{false};
+    std::thread second([&] {
+      rec.record(FrEvent::Custom, 3);
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (rec.threadSlots() < 2) std::this_thread::yield();
+    EXPECT_EQ(mem.currentBytes(MemAccountId::Obs), before + 2 * ring);
+    std::thread third([&] { rec.record(FrEvent::Custom, 4); });  // table full
+    third.join();
+    release = true;
+    second.join();
+    EXPECT_EQ(rec.threadSlots(), 2);
+    EXPECT_EQ(rec.droppedEvents(), 1);
+    EXPECT_EQ(mem.currentBytes(MemAccountId::Obs),
+              before + rec.threadSlots() * ring);
+  }
+  EXPECT_EQ(mem.currentBytes(MemAccountId::Obs), before);
+}
+
+// A ring the memory budget refuses leaves its thread without a slot: the
+// thread's events drop and count as drops, and record() does not throw.
+TEST(FlightRecorder, BudgetRefusedRingDropsEventsInsteadOfThrowing) {
+  MemRegistry& mem = MemRegistry::instance();
+  FlightRecorder rec(/*capacityPerThread=*/1024, /*maxThreads=*/2);
+  const std::int64_t ring = 1024 * sizeof(FlightEventRecord);
+  const std::int64_t obsBefore = mem.currentBytes(MemAccountId::Obs);
+  mem.setBudgetBytes(mem.totalCurrentBytes() + ring - 1);
+  EXPECT_NO_THROW(rec.record(FrEvent::Custom, 1));
+  mem.setBudgetBytes(0);
+  EXPECT_EQ(rec.threadSlots(), 0);
+  EXPECT_EQ(rec.droppedEvents(), 1);
+  EXPECT_EQ(mem.currentBytes(MemAccountId::Obs), obsBefore);
 }
 
 TEST(FlightRecorder, DisabledRecorderIsSilent) {

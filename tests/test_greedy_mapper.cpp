@@ -13,6 +13,27 @@
 namespace rahtm {
 namespace {
 
+/// FNV-1a over the node ids' little-endian bytes.
+std::uint64_t nodeVectorHash(const std::vector<NodeId>& nodes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const NodeId n : nodes) {
+    const auto u = static_cast<std::uint32_t>(n);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct PinnedMap {
+  const char* benchmark;
+  Shape shape;
+  int concentration;
+  std::uint64_t nodeHash;  ///< nodeVectorHash of the mapping
+  double hopBytes;
+};
+
 TEST(GreedyMapper, ProducesValidMappings) {
   const Torus t = Torus::torus(Shape{4, 4, 2});
   const Workload w = makeBT(64);
@@ -71,6 +92,55 @@ TEST(GreedyMapper, RejectsMismatchedRanks) {
   CommGraph g(7);
   GreedyHopBytesMapper mapper;
   EXPECT_THROW(mapper.map(g, t, 2), PreconditionError);
+}
+
+// The mapper's node vectors and their hop-bytes on five tori at
+// concentrations 1 to 8, pinned as computed at commit d12621b. A change to
+// the placement cost, its summation order or the distances it reads fails
+// here.
+TEST(GreedyMapper, PinnedOutputs) {
+  const PinnedMap pins[] = {
+    {"BT", Shape{4, 4, 4}, 1, 0x12cdf20b3bbc5793ull, 2686976},
+    {"SP", Shape{4, 4, 4}, 1, 0x12cdf20b3bbc5793ull, 1611792},
+    {"CG", Shape{4, 4, 4}, 1, 0xc6d70b7b606623e3ull, 1499136},
+    {"BT", Shape{4, 4, 4}, 4, 0x0a02d800eca97783ull, 4194304},
+    {"SP", Shape{4, 4, 4}, 4, 0x0a02d800eca97783ull, 2515968},
+    {"CG", Shape{4, 4, 4}, 4, 0x6f4a330d0db8bf83ull, 4194304},
+    {"BT", Shape{8, 8}, 1, 0x4f691f18ee1ef923ull, 3014656},
+    {"SP", Shape{8, 8}, 1, 0x4f691f18ee1ef923ull, 1808352},
+    {"CG", Shape{8, 8}, 1, 0xcab509e0d13f1e43ull, 2048000},
+    {"BT", Shape{8, 8}, 4, 0x51a8c1fc30818703ull, 7290880},
+    {"SP", Shape{8, 8}, 4, 0x51a8c1fc30818703ull, 4373460},
+    {"CG", Shape{8, 8}, 4, 0xcd32074d19912b83ull, 6193152},
+    {"BT", Shape{2, 2, 2, 2, 2}, 2, 0x450d8e692573c983ull, 1835008},
+    {"SP", Shape{2, 2, 2, 2, 2}, 2, 0x450d8e692573c983ull, 1100736},
+    {"CG", Shape{2, 2, 2, 2, 2}, 2, 0x3877321178f08983ull, 958464},
+    {"BT", Shape{2, 2, 2, 2, 2}, 8, 0xeb6785bb6fdf9b83ull, 3670016},
+    {"SP", Shape{2, 2, 2, 2, 2}, 8, 0xeb6785bb6fdf9b83ull, 2201472},
+    {"CG", Shape{2, 2, 2, 2, 2}, 8, 0x0df2f8756658db83ull, 3317760},
+    {"BT", Shape{4, 4, 4, 4}, 1, 0x46c4aade079cfb13ull, 11124736},
+    {"SP", Shape{4, 4, 4, 4}, 1, 0x46c4aade079cfb13ull, 6673212},
+    {"CG", Shape{4, 4, 4, 4}, 1, 0xbb4c542921396953ull, 9543680},
+    {"BT", Shape{4, 4, 4, 4}, 4, 0x4d8d35038d461403ull, 20004864},
+    {"SP", Shape{4, 4, 4, 4}, 4, 0x4d8d35038d461403ull, 11999988},
+    {"CG", Shape{4, 4, 4, 4}, 4, 0x1cd517e7904e6783ull, 28385280},
+    {"BT", Shape{4, 4, 4, 4, 2}, 2, 0x86e478eebcc3d083ull, 27262976},
+    {"SP", Shape{4, 4, 4, 4, 2}, 2, 0x86e478eebcc3d083ull, 16353792},
+    {"CG", Shape{4, 4, 4, 4, 2}, 2, 0xa71eaaf3660f88e3ull, 38969344},
+  };
+  for (const PinnedMap& p : pins) {
+    const Torus t = Torus::torus(p.shape);
+    const Workload w = makeNasByName(
+        p.benchmark, static_cast<RankId>(t.numNodes() * p.concentration));
+    const CommGraph g = w.commGraph();
+    GreedyHopBytesMapper mapper(w.logicalGrid);
+    const std::vector<NodeId> nodes =
+        mapper.map(g, t, p.concentration).nodeVector();
+    SCOPED_TRACE(std::string(p.benchmark) + " on " + t.describe() + " c" +
+                 std::to_string(p.concentration));
+    EXPECT_EQ(nodeVectorHash(nodes), p.nodeHash);
+    EXPECT_EQ(hopBytes(g, t, nodes), p.hopBytes);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "lp/milp.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
 
 namespace rahtm::lp {
 namespace {
@@ -49,6 +50,36 @@ TEST(Simplex, SolvesTextbookLp) {
   EXPECT_NEAR(s.objective, 36.0, 1e-7);
   EXPECT_NEAR(s.x[0], 2.0, 1e-7);
   EXPECT_NEAR(s.x[1], 6.0, 1e-7);
+}
+
+// Each phase starts from a rebuilt tableau; with refactorEvery = 1 every
+// pivot rebuilds it again. Both counts reach the metrics once per solve.
+TEST(Simplex, CountsRefactorizations) {
+  Model m;
+  const VarId x = m.addContinuous("x", 0, 10, 1);
+  const VarId y = m.addContinuous("y", 0, 10, 1);
+  m.addConstraint("ge", {{x, 1}, {y, 1}}, Sense::GreaterEq, 3);
+  m.addConstraint("eq", {{x, 1}, {y, -1}}, Sense::Equal, 1);
+  SimplexOptions opts;
+  opts.refactorEvery = 1;
+  obs::MetricsRegistry reg;
+  obs::MetricsRegistry* prev = obs::metrics();
+  obs::setMetrics(&reg);
+  const LpSolution s = solveLp(m, opts);
+  obs::setMetrics(prev);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_NEAR(s.objective, 3.0, 1e-7);
+  EXPECT_GT(s.pivots, 0);
+  EXPECT_EQ(s.refactorizations, s.pivots + 2);
+  EXPECT_FALSE(s.singularBasis);
+  EXPECT_EQ(reg.counter("lp.simplex.pivots").value(), s.pivots);
+  EXPECT_EQ(reg.counter("lp.simplex.refactorizations").value(), s.pivots + 2);
+  EXPECT_EQ(reg.counter("lp.simplex.singular_bases").value(), 0);
+
+  // The default period rebuilds only at the two phase starts here.
+  const LpSolution d = solveLp(m);
+  EXPECT_EQ(d.pivots, s.pivots);
+  EXPECT_EQ(d.refactorizations, 2);
 }
 
 TEST(Simplex, HandlesEqualityAndGreaterEq) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
+#include "topology/offset_table.hpp"
 #include "topology/orientation.hpp"
 #include "topology/presets.hpp"
 #include "topology/subcube.hpp"
@@ -127,6 +130,68 @@ TEST(Torus, InvalidInputsThrow) {
 }
 
 // ---- Orientations ----------------------------------------------------------
+
+// Every node pair's table entry against the per-dimension reference: the
+// distance equals Torus::distance and the outputs are minimalOffset's
+// enumeration in order (dimensions ascending, canonical direction, then its
+// tie partner). Shapes cover 2-ary and 4-ary tori, an odd extent, an extent
+// of 1, a mesh and a mixed torus.
+TEST(OffsetTable, MatchesTorusGeometryForEveryPair) {
+  const std::vector<Torus> shapes = {
+      Torus::torus(Shape{2, 2, 2, 2, 2}),
+      Torus::torus(Shape{4, 4, 4, 4}),
+      Torus::torus(Shape{3, 4}),
+      Torus::torus(Shape{4, 1, 2}),
+      Torus::mesh(Shape{3, 4, 2}),
+      Torus::mixed(Shape{4, 3, 2}, SmallVec<std::uint8_t, kMaxDims>{1, 0, 1}),
+  };
+  for (const Torus& t : shapes) {
+    SCOPED_TRACE(t.describe());
+    const OffsetTable table(t);
+    std::size_t classes = 1;
+    for (std::size_t d = 0; d < t.ndims(); ++d) {
+      classes *= static_cast<std::size_t>(2 * t.extent(d) - 1);
+    }
+    EXPECT_EQ(table.numClasses(), classes);
+    for (NodeId s = 0; s < t.numNodes(); ++s) {
+      const Coord cs = t.coordOf(s);
+      for (NodeId d = 0; d < t.numNodes(); ++d) {
+        const Coord cd = t.coordOf(d);
+        ASSERT_EQ(table.distance(s, d), t.distance(s, d)) << s << "->" << d;
+        std::vector<OffsetTable::Output> want;
+        for (std::size_t dim = 0; dim < t.ndims(); ++dim) {
+          const MinimalOffset off = t.minimalOffset(cs, cd, dim);
+          if (off.steps == 0) continue;
+          const auto output = [&](Dir dir) {
+            return OffsetTable::Output{
+                static_cast<std::uint16_t>(off.steps),
+                static_cast<std::uint8_t>(dim * 2 +
+                                          static_cast<std::size_t>(dir)),
+                off.tie};
+          };
+          want.push_back(output(off.dir));
+          if (off.tie) want.push_back(output(opposite(off.dir)));
+        }
+        const std::span<const OffsetTable::Output> got = table.outputs(s, d);
+        ASSERT_EQ(got.size(), want.size()) << s << "->" << d;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].steps, want[i].steps) << s << "->" << d << " #" << i;
+          EXPECT_EQ(got[i].slot, want[i].slot) << s << "->" << d << " #" << i;
+          EXPECT_EQ(got[i].tie, want[i].tie) << s << "->" << d << " #" << i;
+        }
+      }
+    }
+    const auto past = static_cast<NodeId>(t.numNodes());
+    EXPECT_THROW(table.distance(past, 0), PreconditionError);
+    EXPECT_THROW(table.distance(0, past), PreconditionError);
+    EXPECT_THROW(table.outputs(-1, 0), PreconditionError);
+    EXPECT_THROW(table.outputs(0, kInvalidNode), PreconditionError);
+  }
+  // Step counts are 16-bit: a larger extent is refused, not truncated.
+  EXPECT_NO_THROW(OffsetTable(Torus::mesh(Shape{OffsetTable::kMaxExtent})));
+  EXPECT_THROW(OffsetTable(Torus::mesh(Shape{OffsetTable::kMaxExtent + 1})),
+               PreconditionError);
+}
 
 TEST(Orientation, GroupSizeIsHyperoctahedral) {
   // |B_n| = 2^n n!.
