@@ -2,12 +2,14 @@
 /// google-benchmark microbenchmarks of the performance-critical kernels:
 /// the oblivious channel-load accumulation, the exhaustive leaf solve, the
 /// simplex solver, the cycle-level simulator, the routing-oblivious
-/// baseline mappers and the orientation machinery. These are the kernels
-/// whose cost determines the §V-B optimization time.
+/// baseline mappers, the graph kernels under them and the orientation
+/// machinery. These are the kernels whose cost determines the §V-B
+/// optimization time.
 
 #include <benchmark/benchmark.h>
 
 #include "core/bisection_mapper.hpp"
+#include "core/clustering.hpp"
 #include "core/greedy_mapper.hpp"
 #include "core/subproblem.hpp"
 #include "lp/simplex.hpp"
@@ -132,6 +134,46 @@ void BM_BisectionMap(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_BisectionMap)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+/// The graph kernels every baseline request runs before its mapper: the
+/// 1024-rank NAS graph of BT, SP or CG (by argument), built from its
+/// messages, contracted by the best concentration-4 tiling, and viewed
+/// undirected.
+Workload nasWorkload(const benchmark::State& state) {
+  return makeNasByName(kNas[state.range(0)], 1024);
+}
+
+void BM_CommGraphBuild(benchmark::State& state) {
+  const Workload w = nasWorkload(state);
+  for (auto _ : state) {
+    const CommGraph g = w.commGraph();
+    benchmark::DoNotOptimize(g.flows().data());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_CommGraphBuild)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+
+void BM_BestTiling(benchmark::State& state) {
+  const Workload w = nasWorkload(state);
+  const CommGraph g = w.commGraph();
+  for (auto _ : state) {
+    const TilingResult t = bestTiling(g, w.logicalGrid, 4);
+    benchmark::DoNotOptimize(t.coarseGraph.flows().data());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_BestTiling)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+
+void BM_UndirectedFlows(benchmark::State& state) {
+  const Workload w = nasWorkload(state);
+  const CommGraph g = w.commGraph();
+  for (auto _ : state) {
+    const std::vector<Flow> und = g.undirectedFlows();
+    benchmark::DoNotOptimize(und.data());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_UndirectedFlows)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 void BM_EnumerateOrientations(benchmark::State& state) {
   const Shape shape{2, 2, 2, 2};

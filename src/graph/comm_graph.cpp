@@ -1,16 +1,28 @@
 #include "graph/comm_graph.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <istream>
-#include <map>
 #include <ostream>
-#include <set>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace rahtm {
+
+namespace {
+
+/// Index slots for \p flows flows at most half full: a power of two >= 16.
+std::size_t capacityFor(std::size_t flows) {
+  std::size_t cap = 16;
+  while (cap < 2 * flows) cap *= 2;
+  return cap;
+}
+
+}  // namespace
 
 CommGraph::CommGraph(RankId numRanks) : numRanks_(numRanks) {
   RAHTM_REQUIRE(numRanks >= 0, "CommGraph: negative rank count");
@@ -20,19 +32,50 @@ void CommGraph::ensureRanks(RankId numRanks) {
   numRanks_ = std::max(numRanks_, numRanks);
 }
 
+std::size_t CommGraph::findSlot(std::uint64_t k) const {
+  const std::size_t mask = slotKey_.size() - 1;
+  const int shift = 64 - std::countr_zero(slotKey_.size());
+  auto i = static_cast<std::size_t>((k * 0x9e3779b97f4a7c15ull) >> shift);
+  while (slotKey_[i] != k && slotKey_[i] != kEmptyKey) i = (i + 1) & mask;
+  return i;
+}
+
+void CommGraph::rehash(std::size_t capacity) {
+  RAHTM_REQUIRE(capacity / 2 <= (std::size_t{1} << 32),
+                "CommGraph: more than 2^32 flows");
+  slotKey_.assign(capacity, kEmptyKey);
+  slotFlow_.assign(capacity, 0);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const std::uint64_t k = key(flows_[i].src, flows_[i].dst);
+    const std::size_t s = findSlot(k);
+    slotKey_[s] = k;
+    slotFlow_[s] = static_cast<std::uint32_t>(i);
+  }
+}
+
+void CommGraph::reserve(std::size_t flows) {
+  flows_.reserve(flows);
+  if (capacityFor(flows) > slotKey_.size()) rehash(capacityFor(flows));
+}
+
 void CommGraph::addFlow(RankId src, RankId dst, Volume bytes) {
   RAHTM_REQUIRE(src >= 0 && dst >= 0, "addFlow: negative rank id");
-  RAHTM_REQUIRE(bytes >= 0, "addFlow: negative volume");
+  RAHTM_REQUIRE(std::isfinite(bytes) && bytes >= 0,
+                "addFlow: volume must be finite and >= 0");
   ensureRanks(std::max(src, dst) + 1);
   if (src == dst || bytes == 0) return;
-  const std::uint64_t k = key(src, dst);
-  const auto it = index_.find(k);
-  if (it != index_.end()) {
-    flows_[it->second].bytes += bytes;
-  } else {
-    index_.emplace(k, flows_.size());
-    flows_.push_back(Flow{src, dst, bytes});
+  if (2 * (flows_.size() + 1) > slotKey_.size()) {
+    rehash(capacityFor(flows_.size() + 1));
   }
+  const std::uint64_t k = key(src, dst);
+  const std::size_t s = findSlot(k);
+  if (slotKey_[s] == k) {
+    flows_[slotFlow_[s]].bytes += bytes;
+    return;
+  }
+  slotKey_[s] = k;
+  slotFlow_[s] = static_cast<std::uint32_t>(flows_.size());
+  flows_.push_back(Flow{src, dst, bytes});
 }
 
 void CommGraph::addExchange(RankId a, RankId b, Volume bytes) {
@@ -41,8 +84,11 @@ void CommGraph::addExchange(RankId a, RankId b, Volume bytes) {
 }
 
 Volume CommGraph::volume(RankId src, RankId dst) const {
-  const auto it = index_.find(key(src, dst));
-  return it == index_.end() ? 0 : flows_[it->second].bytes;
+  // A negative id has no flow, and its key could equal kEmptyKey.
+  if (src < 0 || dst < 0 || slotKey_.empty()) return 0;
+  const std::uint64_t k = key(src, dst);
+  const std::size_t s = findSlot(k);
+  return slotKey_[s] == k ? flows_[slotFlow_[s]].bytes : 0;
 }
 
 Volume CommGraph::totalVolume() const {
@@ -52,26 +98,34 @@ Volume CommGraph::totalVolume() const {
 }
 
 int CommGraph::maxDegree() const {
-  std::vector<std::set<RankId>> peers(static_cast<std::size_t>(numRanks_));
-  for (const Flow& f : flows_) {
-    peers[static_cast<std::size_t>(f.src)].insert(f.dst);
-    peers[static_cast<std::size_t>(f.dst)].insert(f.src);
+  std::vector<int> degree(static_cast<std::size_t>(numRanks_), 0);
+  int best = 0;
+  for (const Flow& f : undirectedFlows()) {
+    best = std::max({best, ++degree[static_cast<std::size_t>(f.src)],
+                     ++degree[static_cast<std::size_t>(f.dst)]});
   }
-  std::size_t best = 0;
-  for (const auto& p : peers) best = std::max(best, p.size());
-  return static_cast<int>(best);
+  return best;
 }
 
 std::vector<Flow> CommGraph::undirectedFlows() const {
-  std::map<std::pair<RankId, RankId>, Volume> acc;
-  for (const Flow& f : flows_) {
-    const auto k = std::minmax(f.src, f.dst);
-    acc[{k.first, k.second}] += f.bytes;
+  // (unordered pair key, flow index), sorted: each pair is one run, its
+  // flows in flow order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const auto [lo, hi] = std::minmax(flows_[i].src, flows_[i].dst);
+    order[i] = {key(lo, hi), static_cast<std::uint32_t>(i)};
   }
+  std::sort(order.begin(), order.end());
   std::vector<Flow> out;
-  out.reserve(acc.size());
-  for (const auto& [pair, vol] : acc) {
-    out.push_back(Flow{pair.first, pair.second, vol});
+  out.reserve(order.size());
+  for (std::size_t i = 0; i < order.size();) {
+    const std::uint64_t k = order[i].first;
+    Volume vol = 0;
+    for (; i < order.size() && order[i].first == k; ++i) {
+      vol += flows_[order[i].second].bytes;
+    }
+    out.push_back(Flow{static_cast<RankId>(k >> 32),
+                       static_cast<RankId>(k & 0xffffffffu), vol});
   }
   return out;
 }

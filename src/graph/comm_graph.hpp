@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -28,7 +27,10 @@ struct Flow {
 
 /// A directed, weighted communication graph over dense rank ids.
 /// Parallel edges are coalesced; self-flows are dropped (a rank talking to
-/// itself never touches the network).
+/// itself never touches the network). Flows are kept in order of first
+/// appearance, and repeated bytes are added onto a flow in call order, so
+/// every volume is the same sum of the same terms however the graph is
+/// indexed.
 class CommGraph {
  public:
   CommGraph() = default;
@@ -38,8 +40,12 @@ class CommGraph {
   /// Grow the vertex set (never shrinks).
   void ensureRanks(RankId numRanks);
 
-  /// Accumulate \p bytes onto the (src,dst) flow. Self-flows are ignored.
+  /// Accumulate \p bytes (finite, >= 0) onto the (src,dst) flow.
+  /// Self-flows and zero volumes are ignored.
   void addFlow(RankId src, RankId dst, Volume bytes);
+
+  /// Make room for \p flows distinct flows without regrowing the index.
+  void reserve(std::size_t flows);
 
   /// Add \p bytes in both directions (convenience for symmetric exchanges).
   void addExchange(RankId a, RankId b, Volume bytes);
@@ -57,7 +63,8 @@ class CommGraph {
   int maxDegree() const;
 
   /// Undirected view: sum of both directions per unordered pair, each pair
-  /// reported once with src < dst.
+  /// reported once with src < dst, in ascending (src, dst) order. A pair's
+  /// volume adds its flows onto 0 in flow order.
   std::vector<Flow> undirectedFlows() const;
 
   /// Returns a graph with vertex ids renumbered by \p perm
@@ -69,12 +76,23 @@ class CommGraph {
  private:
   RankId numRanks_ = 0;
   std::vector<Flow> flows_;
-  std::unordered_map<std::uint64_t, std::size_t> index_;  // (src,dst) -> flows_ idx
+  /// Open-addressing index of flows_ (linear probing, Fibonacci hash):
+  /// slot i holds key(src, dst) in slotKey_[i] and its flows_ index in
+  /// slotFlow_[i]. The capacity is 0 or a power of two, at most half full.
+  std::vector<std::uint64_t> slotKey_;
+  std::vector<std::uint32_t> slotFlow_;
+
+  /// Marks an empty slot. Ids are >= 0, so bit 63 of a valid key is 0.
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
   static std::uint64_t key(RankId src, RankId dst) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
            static_cast<std::uint32_t>(dst);
   }
+  /// The slot holding \p k, or the empty slot where it would go.
+  std::size_t findSlot(std::uint64_t k) const;
+  /// Rebuild the index with \p capacity slots, inserting in flow order.
+  void rehash(std::size_t capacity);
 };
 
 /// CSR incidence lists over a flow array: for each bucket (vertex, child

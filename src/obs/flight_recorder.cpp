@@ -58,6 +58,15 @@ namespace {
 /// keys on (address, generation), so a recorder constructed at a recycled
 /// address (stack-allocated test recorders) can never inherit stale hits.
 std::atomic<std::uint64_t> gNextRecorderGen{1};
+
+/// Process-unique, never-reused token of the calling thread (>= 1), the
+/// owner a slot records.
+std::uint64_t threadToken() {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t token =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return token;
+}
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacityPerThread, int maxThreads)
@@ -114,7 +123,7 @@ int FlightRecorder::threadSlot() {
 }
 
 int FlightRecorder::registerThread() {
-  const std::thread::id self = std::this_thread::get_id();
+  const std::uint64_t self = threadToken();
   // Re-scan first: the thread may already own a slot that fell out of its
   // cache (possible when several recorders interleave on one thread).
   const int n = threadSlots();

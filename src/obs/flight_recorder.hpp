@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 #include <vector>
 
 namespace rahtm::obs {
@@ -155,7 +154,9 @@ class FlightRecorder {
 
  private:
   struct alignas(64) Slot {
-    std::atomic<std::thread::id> owner{};
+    /// Token of the owning thread (0: unowned). A std::thread::id is reused
+    /// once its thread is joined; a token never is.
+    std::atomic<std::uint64_t> owner{0};
     std::atomic<std::uint64_t> head{0};
     FlightEventRecord* ring = nullptr;
   };

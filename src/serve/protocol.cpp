@@ -114,9 +114,15 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
         if (!f.isArray() || f.array.size() != 3 || !f.array[2].isNumber()) {
           throw ParseError("graph.flows entries must be [src,dst,bytes]");
         }
+        const double bytes = f.array[2].number;
+        if (!std::isfinite(bytes) || bytes < 0) {
+          throw ParseError(
+              "request member 'graph.flows bytes' must be a finite number "
+              ">= 0");
+        }
         req.graph.addFlow(checkedInt<RankId>(f.array[0], "graph.flows src"),
                           checkedInt<RankId>(f.array[1], "graph.flows dst"),
-                          static_cast<Volume>(f.array[2].number));
+                          bytes);
       }
       req.hasGraph = true;
     }

@@ -107,9 +107,8 @@ MapResponse MapService::handleWithInput(const MapRequest& req,
     const std::string err = resp.mapping.validate(machine, req.concentration);
     if (!err.empty()) throw Error("invalid mapping: " + err);
 
-    const GraphStats gs = computeStats(input.graph);
-    resp.ranks = static_cast<std::int64_t>(gs.ranks);
-    resp.flows = static_cast<std::int64_t>(gs.flows);
+    resp.ranks = input.graph.numRanks();
+    resp.flows = static_cast<std::int64_t>(input.graph.numFlows());
     const std::vector<NodeId>& nodes = resp.mapping.nodeVector();
     // placementMcl() bit for bit, read from the topology's (cached) route
     // table instead of re-enumerating every flow's minimal paths.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <exception>
@@ -628,11 +629,15 @@ class IterationSim {
   void drainShard(int s) {
     Shard& shard = shards_[static_cast<std::size_t>(s)];
     const std::int64_t cycle = cycle_;
+    std::int32_t* link =
+        &shard.wheel[static_cast<std::size_t>(cycle) & (kWheelSlots - 1)];
+    if (*link == kNoQueue) {  // nothing completes, so nothing is mailed
+      mailMask_[static_cast<std::size_t>(s)] = 0;
+      return;
+    }
     // Unlink the queues due this cycle before visiting them: a visit may
     // put its queue back into this same slot.
     shard.due.clear();
-    std::int32_t* link =
-        &shard.wheel[static_cast<std::size_t>(cycle) & (kWheelSlots - 1)];
     while (*link != kNoQueue) {
       Queue& q = queues_[static_cast<std::size_t>(*link)];
       if (q.due == cycle) {
@@ -703,8 +708,14 @@ class IterationSim {
   void routeShard(int t) {
     Shard& shard = shards_[static_cast<std::size_t>(t)];
     const std::int64_t cycle = cycle_;
+    // Bit s: mailbox (s, t) has handoffs. Gathered without a branch per
+    // source shard, then visited in ascending s.
+    std::uint32_t from = 0;
     for (int s = 0; s < shardCount_; ++s) {
-      if ((mailMask_[static_cast<std::size_t>(s)] >> t & 1u) == 0) continue;
+      from |= (mailMask_[static_cast<std::size_t>(s)] >> t & 1u) << s;
+    }
+    for (; from != 0; from &= from - 1) {
+      const int s = std::countr_zero(from);
       auto& box = mail_[static_cast<std::size_t>(s) *
                             static_cast<std::size_t>(shardCount_) +
                         static_cast<std::size_t>(t)]

@@ -11,6 +11,9 @@ namespace rahtm {
 
 CommGraph Workload::commGraph() const {
   CommGraph g(ranks);
+  std::size_t messages = 0;
+  for (const simnet::Phase& phase : phases) messages += phase.size();
+  g.reserve(messages);
   for (const simnet::Phase& phase : phases) {
     for (const simnet::Message& m : phase) {
       g.addFlow(m.src, m.dst, static_cast<Volume>(m.bytes));

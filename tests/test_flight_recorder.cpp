@@ -2,6 +2,7 @@
 /// heartbeat monotonicity under the thread pool, watchdog escalation on an
 /// artificial stall, post-mortem artifact schema, and the tracer event cap.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -74,6 +75,27 @@ TEST(FlightRecorder, SlotExhaustionCountsDrops) {
   EXPECT_EQ(rec.threadSlots(), 1);
 }
 
+// glibc hands a joined thread's std::thread::id to a later thread. Each
+// thread must still get its own slot, so no ring mixes two threads' events.
+TEST(FlightRecorder, RecycledThreadIdGetsItsOwnSlot) {
+  FlightRecorder rec(/*capacityPerThread=*/8, /*maxThreads=*/16);
+  std::vector<std::thread::id> ids;
+  bool reused = false;
+  for (int i = 0; i < 16 && !reused; ++i) {
+    std::thread t([&rec, i] { rec.record(FrEvent::Custom, i); });
+    const std::thread::id id = t.get_id();
+    t.join();
+    reused = std::find(ids.begin(), ids.end(), id) != ids.end();
+    ids.push_back(id);
+  }
+  const auto snap = rec.snapshot();
+  ASSERT_EQ(snap.size(), ids.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    ASSERT_EQ(snap[i].events.size(), 1u) << "slot " << i;
+    EXPECT_EQ(snap[i].events[0].a, static_cast<std::int64_t>(i));
+  }
+}
+
 // Ring pages are not charged (nor touched) until a thread registers its
 // slot; each registered slot then adds exactly one ring to the obs account,
 // and the recorder's destruction returns them.
@@ -89,8 +111,7 @@ TEST(FlightRecorder, ChargesEachRingWhenItsSlotRegisters) {
     rec.record(FrEvent::Custom, 1);
     rec.record(FrEvent::Custom, 2);  // same slot, no second charge
     EXPECT_EQ(mem.currentBytes(MemAccountId::Obs), before + ring);
-    // The second thread stays alive while the third records, so the third
-    // cannot inherit its thread id (and slot).
+    // The second thread holds the last slot while the third records.
     std::atomic<bool> release{false};
     std::thread second([&] {
       rec.record(FrEvent::Custom, 3);

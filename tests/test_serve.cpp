@@ -558,6 +558,11 @@ TEST(Protocol, MalformedRequestsThrow) {
            {"graph.flows dst",
             R"("graph":{"ranks":4,"flows":[[0,4294967297,8]]}})"},
            {"graph.flows dst", R"("graph":{"ranks":4,"flows":[[0,1.5,8]]}})"},
+           {"graph.flows bytes",
+            R"("graph":{"ranks":4,"flows":[[0,1,1e999]]}})"},
+           {"graph.flows bytes",
+            R"("graph":{"ranks":4,"flows":[[0,1,-1e999]]}})"},
+           {"graph.flows bytes", R"("graph":{"ranks":4,"flows":[[0,1,-3]]}})"},
        }) {
     try {
       serve::parseMapRequestLine(head + body);
@@ -576,8 +581,8 @@ TEST(Protocol, MalformedRequestsThrow) {
 }
 
 // The reply to a request that fails to parse echoes its id, whether the
-// parser rejects a member (beam 0) or the graph's own check does (a
-// negative flow volume).
+// parser rejects a member (beam 0, a negative flow volume) or the graph's
+// own check does (a negative rank id).
 TEST(Protocol, ErrorRepliesEchoTheRequestId) {
   const std::string head = R"({"schema":"rahtm.serve.request/v1",)";
   using Case = std::pair<std::string, std::string>;
@@ -587,6 +592,8 @@ TEST(Protocol, ErrorRepliesEchoTheRequestId) {
                   R"("graph":{"ranks":4,"flows":[[0,1,-5]]}})"},
            {"r3", R"("machine":"2x2","id":"r3","beam":"x"})"},
            {"r4", R"("id":"r4","machine":"2x2","threads":100000})"},
+           {"r5", R"("id":"r5","machine":"2x2",)"
+                  R"("graph":{"ranks":4,"flows":[[0,-1,5]]}})"},
        }) {
     try {
       serve::parseMapRequestLine(head + body);
