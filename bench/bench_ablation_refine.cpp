@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
       const Mapping m =
           mapper.mapWorkload(w, scale.machine, scale.concentration);
       const auto cycles = static_cast<double>(commCyclesPerIteration(
-          w, scale.machine, m, scale.sim, IterationModel::RankPipelined,
-          scale.simIterations));
+          w, scale.machine, m, scale.sim, scale.simIterations));
       std::cout << std::left << std::setw(6) << name << std::setw(15)
                 << mode.name << std::right << std::setw(12)
                 << placementMcl(scale.machine, g, m.nodeVector())

@@ -128,9 +128,7 @@ BENCHMARK(BM_GreedyMap)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 void BM_BisectionMap(benchmark::State& state) {
   runBaselineMap(state, [](const Workload& w) {
-    BisectionConfig cfg;
-    cfg.logicalGrid = w.logicalGrid;
-    return RecursiveBisectionMapper(cfg);
+    return RecursiveBisectionMapper(w.logicalGrid);
   });
 }
 BENCHMARK(BM_BisectionMap)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);

@@ -129,9 +129,10 @@ ExperimentScale ExperimentScale::fromSpec(std::int64_t nodes,
 std::vector<std::unique_ptr<TaskMapper>> paperRoster(
     const ExperimentScale& scale) {
   const std::size_t n = scale.machine.ndims();
+  const std::string spec = canonicalSpec(n).substr(0, n);
   std::vector<std::unique_ptr<TaskMapper>> roster;
   roster.push_back(std::make_unique<DefaultMapper>());
-  roster.push_back(std::make_unique<PermutationMapper>("T" + canonicalSpec(n).substr(0, n)));
+  roster.push_back(std::make_unique<PermutationMapper>("T" + spec));
   roster.push_back(std::make_unique<PermutationMapper>(interleavedSpec(n)));
   roster.push_back(std::make_unique<HilbertMapper>());
   roster.push_back(std::make_unique<RubikMapper>(
@@ -158,8 +159,7 @@ std::vector<MapperRun> runStudy(const Workload& workload,
     const std::string err = m.validate(scale.machine, scale.concentration);
     RAHTM_REQUIRE(err.empty(), run.mapper + ": invalid mapping: " + err);
     run.commCycles = static_cast<double>(commCyclesPerIteration(
-        workload, scale.machine, m, scale.sim, IterationModel::RankPipelined,
-        scale.simIterations));
+        workload, scale.machine, m, scale.sim, scale.simIterations));
     run.mcl = placementMcl(scale.machine, graph, m.nodeVector());
     run.hopBytes = hopBytes(graph, scale.machine, m.nodeVector());
     out.push_back(run);

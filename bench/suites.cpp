@@ -108,8 +108,7 @@ obs::RunReport suiteFig9(const ExperimentScale& scale) {
     const Mapping m =
         baseline.map(w.commGraph(), scale.machine, scale.concentration);
     const auto comm = static_cast<double>(commCyclesPerIteration(
-        w, scale.machine, m, scale.sim, IterationModel::RankPipelined,
-        scale.simIterations));
+        w, scale.machine, m, scale.sim, scale.simIterations));
     const double compute = calibrateComputeCycles(comm, w.commFraction);
     obs::RunRecord record;
     record.benchmark = name;
@@ -152,8 +151,7 @@ obs::RunReport suiteAblationRefine(const ExperimentScale& scale) {
       record.mapper = mode.name;
       record.add("comm_cycles",
                  static_cast<double>(commCyclesPerIteration(
-                     w, scale.machine, m, scale.sim,
-                     IterationModel::RankPipelined, scale.simIterations)));
+                     w, scale.machine, m, scale.sim, scale.simIterations)));
       record.add("mcl", placementMcl(scale.machine, g, m.nodeVector()));
       record.add("hop_bytes", hopBytes(g, scale.machine, m.nodeVector()));
       record.add("map_seconds", mapSeconds);
@@ -415,8 +413,8 @@ obs::RunReport suiteMemMicro(const ExperimentScale& scale) {
   const Workload w = makeNasByName("CG", 16, scale.params);
   RahtmMapper mapper;
   const Mapping m = mapper.mapWorkload(w, cube, 1);
-  const auto cycles = static_cast<double>(commCyclesPerIteration(
-      w, cube, m, scale.sim, IterationModel::RankPipelined, 1));
+  const auto cycles = static_cast<double>(
+      commCyclesPerIteration(w, cube, m, scale.sim, 1));
 
   const CommGraph g = w.commGraph();
   SubproblemConfig cfg;

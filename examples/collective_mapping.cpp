@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
       RahtmMapper rahtm;
       const Mapping mr = rahtm.mapWorkload(w, machine, concentration);
 
-      const auto cb = static_cast<double>(commCyclesPerIteration(
-          w, machine, mb, sim, IterationModel::RankPipelined, 2));
-      const auto cr = static_cast<double>(commCyclesPerIteration(
-          w, machine, mr, sim, IterationModel::RankPipelined, 2));
+      const auto cb =
+          static_cast<double>(commCyclesPerIteration(w, machine, mb, sim, 2));
+      const auto cr =
+          static_cast<double>(commCyclesPerIteration(w, machine, mr, sim, 2));
       const double mclB = placementMcl(machine, g, mb.nodeVector());
       const double mclR = placementMcl(machine, g, mr.nodeVector());
       std::cout << std::left << std::setw(24) << w.name << std::right

@@ -71,11 +71,8 @@ int main(int argc, char** argv) {
         std::make_unique<RubikMapper>(RubikMapper::autoFor(ranks, machine,
                                                            concentration)));
     mappers.push_back(std::make_unique<GreedyHopBytesMapper>(w.logicalGrid));
-    {
-      BisectionConfig bisect;
-      bisect.logicalGrid = w.logicalGrid;
-      mappers.push_back(std::make_unique<RecursiveBisectionMapper>(bisect));
-    }
+    mappers.push_back(
+        std::make_unique<RecursiveBisectionMapper>(w.logicalGrid));
     mappers.push_back(std::make_unique<RahtmMapper>());
 
     simnet::SimConfig sim;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <iomanip>
 #include <mutex>
 #include <string>
 
@@ -60,11 +61,10 @@ std::string isoTimestamp() {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec, static_cast<int>(ms));
-  return buf;
+  std::ostringstream os;
+  os << std::put_time(&tm, "%Y-%m-%dT%H:%M:%S") << '.' << std::setfill('0')
+     << std::setw(3) << ms << 'Z';
+  return os.str();
 }
 
 }  // namespace

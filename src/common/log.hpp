@@ -38,18 +38,22 @@ class LogLine {
   LogLevel level_;
   std::ostringstream os_;
 };
+
+/// Turns a finished LogLine chain into a void expression (see RAHTM_LOG).
+struct LogVoidify {
+  void operator&(const LogLine&) const {}
+};
 }  // namespace detail
 
 }  // namespace rahtm
 
-// The switch/if-else wrapping makes the macro a single complete statement,
-// so `if (x) RAHTM_LOG(Info) << "...";  else ...` attaches the else to the
-// user's if, not to the macro's level check (the classic dangling-else
-// hazard of the naked `if (enabled) stream` form).
-#define RAHTM_LOG(level)                                  \
-  switch (0)                                              \
-  case 0:                                                 \
-  default:                                                \
-    if (::rahtm::logLevel() > ::rahtm::LogLevel::level) { \
-    } else                                                \
-      ::rahtm::detail::LogLine(::rahtm::LogLevel::level)
+// The macro is one expression, not a statement: the level check is a
+// conditional whose second branch voids the whole `<<` chain (`&` binds
+// looser than `<<`), so the chain is evaluated only when the level is on,
+// and `if (x) RAHTM_LOG(Info) << "...";  else ...` has no hidden if for the
+// else to attach to (the dangling-else hazard of `if (enabled) stream`).
+#define RAHTM_LOG(level)                                \
+  ::rahtm::logLevel() > ::rahtm::LogLevel::level        \
+      ? (void)0                                         \
+      : ::rahtm::detail::LogVoidify() &                 \
+            ::rahtm::detail::LogLine(::rahtm::LogLevel::level)

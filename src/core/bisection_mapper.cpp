@@ -15,13 +15,16 @@ namespace rahtm {
 
 namespace {
 
+constexpr int kKlPasses = 8;  // KL improvement passes per bisection
+constexpr std::uint64_t kSeed = 0xb15ec7;
+
 /// Balanced min-cut bisection of the sub-graph induced by \p verts, by a
 /// Kernighan–Lin swap refinement over an initial half/half split.
 /// Returns the vertex sets of the two halves (equal sizes; |verts| even).
 std::pair<std::vector<std::size_t>, std::vector<std::size_t>> klBisect(
     const std::vector<std::size_t>& verts,
     const std::vector<std::vector<std::pair<std::size_t, double>>>& adj,
-    int passes, Rng& rng) {
+    Rng& rng) {
   const std::size_t n = verts.size();
   RAHTM_REQUIRE(n % 2 == 0, "klBisect: odd vertex count");
 
@@ -71,7 +74,7 @@ std::pair<std::vector<std::size_t>, std::vector<std::size_t>> klBisect(
     }
   };
 
-  for (int pass = 0; pass < passes; ++pass) {
+  for (int pass = 0; pass < kKlPasses; ++pass) {
     // Greedy KL pass: repeatedly take the best positive-gain swap.
     bool improved = false;
     for (std::size_t a = 0; a < n; ++a) {
@@ -104,8 +107,8 @@ std::pair<std::vector<std::size_t>, std::vector<std::size_t>> klBisect(
 
 }  // namespace
 
-RecursiveBisectionMapper::RecursiveBisectionMapper(BisectionConfig config)
-    : config_(std::move(config)) {}
+RecursiveBisectionMapper::RecursiveBisectionMapper(Shape logicalGrid)
+    : logicalGrid_(std::move(logicalGrid)) {}
 
 Mapping RecursiveBisectionMapper::map(const CommGraph& graph,
                                       const Torus& topo, int concentration) {
@@ -117,7 +120,7 @@ Mapping RecursiveBisectionMapper::map(const CommGraph& graph,
                   "RecursiveBisectionMapper: extents must be powers of two");
   }
 
-  Shape grid = config_.logicalGrid;
+  Shape grid = logicalGrid_;
   if (grid.empty()) grid = Shape{static_cast<std::int32_t>(ranks)};
   const TilingResult tiling = bestTiling(graph, grid, concentration);
   const CommGraph& g = tiling.coarseGraph;
@@ -131,7 +134,7 @@ Mapping RecursiveBisectionMapper::map(const CommGraph& graph,
         {static_cast<std::size_t>(f.src), f.bytes});
   }
 
-  Rng rng(config_.seed);
+  Rng rng(kSeed);
   std::vector<NodeId> place(n, kInvalidNode);
 
   // Recursive lock-step bisection of (machine block, cluster set).
@@ -166,7 +169,7 @@ Mapping RecursiveBisectionMapper::map(const CommGraph& graph,
     for (std::size_t d = 1; d < f.extent.size(); ++d) {
       if (f.extent[d] > f.extent[dim]) dim = d;
     }
-    auto halves = klBisect(f.verts, adj, config_.klPasses, rng);
+    auto halves = klBisect(f.verts, adj, rng);
 
     Frame lo, hi;
     lo.extent = hi.extent = f.extent;

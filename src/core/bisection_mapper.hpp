@@ -16,26 +16,18 @@
 
 namespace rahtm {
 
-struct BisectionConfig {
-  /// KL improvement passes per bisection.
-  int klPasses = 8;
-  /// Logical rank-grid geometry for the concentration tiling (empty: 1D).
-  Shape logicalGrid;
-  std::uint64_t seed = 0xb15ec7;
-};
-
 class RecursiveBisectionMapper final : public TaskMapper {
  public:
-  explicit RecursiveBisectionMapper(BisectionConfig config = {});
+  /// \p logicalGrid optionally names the rank-grid geometry used for the
+  /// concentration tiling (empty: 1D row of ranks).
+  explicit RecursiveBisectionMapper(Shape logicalGrid = {});
 
   Mapping map(const CommGraph& graph, const Torus& topo,
               int concentration) override;
   std::string name() const override { return "RCB"; }
 
-  void setLogicalGrid(const Shape& grid) { config_.logicalGrid = grid; }
-
  private:
-  BisectionConfig config_;
+  Shape logicalGrid_;
 };
 
 }  // namespace rahtm

@@ -24,8 +24,6 @@ class GreedyHopBytesMapper final : public TaskMapper {
               int concentration) override;
   std::string name() const override { return "GreedyHB"; }
 
-  void setLogicalGrid(const Shape& grid) { logicalGrid_ = grid; }
-
  private:
   Shape logicalGrid_;
 };

@@ -140,10 +140,7 @@ MilpMapResult milpMapToCube(const CommGraph& g, const Torus& cube,
   lp::Model model;
   model.setObjective(lp::Objective::Minimize);
 
-  lp::VarId z = -1;
-  if (!opts.hopBytesObjective) {
-    z = model.addContinuous("z", 0, lp::infinity(), 1.0);
-  }
+  const lp::VarId z = model.addContinuous("z", 0, lp::infinity(), 1.0);
 
   // g[a][v] assignment binaries.
   std::vector<std::vector<lp::VarId>> gVar(numClusters,
@@ -159,27 +156,24 @@ MilpMapResult milpMapToCube(const CommGraph& g, const Torus& cube,
     model.variable(gVar[0][0]).lb = 1;
   }
 
-  // f[i][e] flow variables; objective coefficient 1 in hop-bytes mode.
-  const double fObj = opts.hopBytesObjective ? 1.0 : 0.0;
+  // f[i][e] flow variables.
   std::vector<std::vector<lp::VarId>> fVar(flows.size(),
                                            std::vector<lp::VarId>(edges.size()));
   for (std::size_t i = 0; i < flows.size(); ++i) {
     for (std::size_t e = 0; e < edges.size(); ++e) {
       fVar[i][e] = model.addContinuous(
           "f_" + std::to_string(i) + "_" + std::to_string(e), 0,
-          flows[i].bytes, fObj);
+          flows[i].bytes);
     }
   }
 
   // r[i][dim] direction binaries (C3).
-  std::vector<std::vector<lp::VarId>> rVar;
-  if (opts.enforceMinimality) {
-    rVar.assign(flows.size(), std::vector<lp::VarId>(cube.ndims()));
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      for (std::size_t d = 0; d < cube.ndims(); ++d) {
-        rVar[i][d] =
-            model.addBinary("r_" + std::to_string(i) + "_" + std::to_string(d));
-      }
+  std::vector<std::vector<lp::VarId>> rVar(
+      flows.size(), std::vector<lp::VarId>(cube.ndims()));
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (std::size_t d = 0; d < cube.ndims(); ++d) {
+      rVar[i][d] =
+          model.addBinary("r_" + std::to_string(i) + "_" + std::to_string(d));
     }
   }
 
@@ -220,36 +214,32 @@ MilpMapResult milpMapToCube(const CommGraph& g, const Torus& cube,
   }
 
   // C3: one direction per dimension per flow.
-  if (opts.enforceMinimality) {
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const CubeEdge& edge = edges[e];
-        if (edge.plusDirection) {
-          model.addConstraint(
-              "C3p_f" + std::to_string(i) + "_e" + std::to_string(e),
-              {{fVar[i][e], 1}, {rVar[i][edge.dim], -flows[i].bytes}},
-              lp::Sense::LessEq, 0);
-        } else {
-          model.addConstraint(
-              "C3m_f" + std::to_string(i) + "_e" + std::to_string(e),
-              {{fVar[i][e], 1}, {rVar[i][edge.dim], flows[i].bytes}},
-              lp::Sense::LessEq, flows[i].bytes);
-        }
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const CubeEdge& edge = edges[e];
+      if (edge.plusDirection) {
+        model.addConstraint(
+            "C3p_f" + std::to_string(i) + "_e" + std::to_string(e),
+            {{fVar[i][e], 1}, {rVar[i][edge.dim], -flows[i].bytes}},
+            lp::Sense::LessEq, 0);
+      } else {
+        model.addConstraint(
+            "C3m_f" + std::to_string(i) + "_e" + std::to_string(e),
+            {{fVar[i][e], 1}, {rVar[i][edge.dim], flows[i].bytes}},
+            lp::Sense::LessEq, flows[i].bytes);
       }
     }
   }
 
   // MCL rows: Σ_i f[i][e] <= mult(e) · z.
-  if (!opts.hopBytesObjective) {
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      std::vector<Term> terms;
-      for (std::size_t i = 0; i < flows.size(); ++i) {
-        terms.push_back({fVar[i][e], 1});
-      }
-      terms.push_back({z, -static_cast<double>(edges[e].multiplicity)});
-      model.addConstraint("MCL_e" + std::to_string(e), terms, lp::Sense::LessEq,
-                          0);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    std::vector<Term> terms;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      terms.push_back({fVar[i][e], 1});
     }
+    terms.push_back({z, -static_cast<double>(edges[e].multiplicity)});
+    model.addConstraint("MCL_e" + std::to_string(e), terms, lp::Sense::LessEq,
+                        0);
   }
 
   lp::MilpOptions milpOpts;
@@ -289,9 +279,7 @@ MilpMapResult milpMapToCube(const CommGraph& g, const Torus& cube,
                 edges[e].dim == d) {
               x[static_cast<std::size_t>(fVar[i][e])] += flows[i].bytes;
               edgeLoad[e] += flows[i].bytes;
-              if (opts.enforceMinimality) {
-                dirUsed[d] = edges[e].plusDirection ? 1 : 0;
-              }
+              dirUsed[d] = edges[e].plusDirection ? 1 : 0;
               break;
             }
           }
@@ -300,21 +288,17 @@ MilpMapResult milpMapToCube(const CommGraph& g, const Torus& cube,
         }
         RAHTM_REQUIRE(stepped, "warm start: no productive dimension");
       }
-      if (opts.enforceMinimality) {
-        for (std::size_t d = 0; d < cube.ndims(); ++d) {
-          x[static_cast<std::size_t>(rVar[i][d])] =
-              dirUsed[d] == -1 ? 1.0 : static_cast<double>(dirUsed[d]);
-        }
+      for (std::size_t d = 0; d < cube.ndims(); ++d) {
+        x[static_cast<std::size_t>(rVar[i][d])] =
+            dirUsed[d] == -1 ? 1.0 : static_cast<double>(dirUsed[d]);
       }
     }
-    if (!opts.hopBytesObjective) {
-      double zVal = 0;
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        zVal = std::max(zVal, edgeLoad[e] /
-                                  static_cast<double>(edges[e].multiplicity));
-      }
-      x[static_cast<std::size_t>(z)] = zVal;
+    double zVal = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      zVal = std::max(zVal, edgeLoad[e] /
+                                static_cast<double>(edges[e].multiplicity));
     }
+    x[static_cast<std::size_t>(z)] = zVal;
     milpOpts.warmStart = std::move(x);
   }
 

@@ -33,12 +33,6 @@ struct MilpMapOptions {
   /// Fix cluster 0 at vertex 0 (valid symmetry breaking on the
   /// vertex-transitive 2-ary d-cube; cuts the search by |V|).
   bool breakSymmetry = true;
-  /// Objective: false = MCL (the paper); true = total flow-hops, which under
-  /// minimal routing equals hop-bytes (the routing-unaware ablation §III-A).
-  bool hopBytesObjective = false;
-  /// Also enforce C3 (single direction per dimension). The paper notes the
-  /// constraint may be omitted when minimal routing is not required.
-  bool enforceMinimality = true;
 };
 
 struct MilpMapResult {

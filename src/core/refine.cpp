@@ -78,17 +78,14 @@ RefineResult refineImpl(const Torus& topo, const CommGraph& clusterGraph,
   RefineResult result;
 
   const bool hopBytes = cfg.objective == MapObjective::HopBytes;
-  DeltaEvalConfig ecfg;
-  ecfg.trackLoads = !hopBytes;
-  ecfg.trackHopBytes = hopBytes;
   std::shared_ptr<const RouteTable> routes;
   std::shared_ptr<const FlowIncidence> incidence;
-  if (ecfg.trackLoads) routes = routeTableFor(topo, cfg.artifacts);
+  if (!hopBytes) routes = routeTableFor(topo, cfg.artifacts);
   if (cfg.artifacts != nullptr) {
     incidence = cfg.artifacts->flowIncidence(clusterGraph);
   }
-  DeltaPlacementEval eval(topo, clusterGraph, nodeOfCluster, ecfg, routes,
-                          incidence);
+  DeltaPlacementEval eval(topo, clusterGraph, nodeOfCluster, cfg.objective,
+                          routes, incidence);
 
   double curMax = eval.mcl();
   double curSq = eval.sumSquares();

@@ -42,18 +42,15 @@ SubproblemSolution exhaustiveSearch(const CommGraph& g, const Torus& cube,
   SubproblemSolution best;
   best.method = "exhaustive";
   best.objective = std::numeric_limits<double>::infinity();
-  DeltaEvalConfig ecfg;
-  ecfg.trackLoads = obj == MapObjective::Mcl;
-  ecfg.trackHopBytes = obj == MapObjective::HopBytes;
   // Vertex v sits at nodesPerm[v]; extra nodes stay empty.
   std::vector<NodeId> placement(nodesPerm.begin(),
                                 nodesPerm.begin() + static_cast<long>(verts));
-  DeltaPlacementEval eval(cube, g, placement, ecfg);
+  DeltaPlacementEval eval(cube, g, placement, obj);
   do {
     std::copy(nodesPerm.begin(), nodesPerm.begin() + static_cast<long>(verts),
               placement.begin());
     eval.reset(placement);
-    const double val = ecfg.trackLoads ? eval.mcl() : eval.hopBytes();
+    const double val = obj == MapObjective::Mcl ? eval.mcl() : eval.hopBytes();
     if (val < best.objective) {
       best.objective = val;
       best.vertexOf = placement;
@@ -86,11 +83,9 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
 
   // One immutable route table, shared read-only by all restarts (and pool
   // workers). Hop-bytes needs no routes at all.
-  DeltaEvalConfig ecfg;
-  ecfg.trackLoads = cfg.objective == MapObjective::Mcl;
-  ecfg.trackHopBytes = cfg.objective == MapObjective::HopBytes;
+  const bool mcl = cfg.objective == MapObjective::Mcl;
   const std::shared_ptr<const RouteTable> routes =
-      ecfg.trackLoads ? routeTableFor(cube, cfg.artifacts) : nullptr;
+      mcl ? routeTableFor(cube, cfg.artifacts) : nullptr;
   // One incidence for all restarts (content-deterministic, so sharing keeps
   // results bit-identical to per-restart builds).
   const std::shared_ptr<const FlowIncidence> incidence =
@@ -121,11 +116,9 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
                                   nodesPerm.begin() + static_cast<long>(verts));
     std::vector<NodeId> empty(nodesPerm.begin() + static_cast<long>(verts),
                               nodesPerm.end());
-    DeltaPlacementEval state(cube, g, std::move(placement), ecfg, routes,
-                             incidence);
-    const auto curObj = [&] {
-      return ecfg.trackLoads ? state.mcl() : state.hopBytes();
-    };
+    DeltaPlacementEval state(cube, g, std::move(placement), cfg.objective,
+                             routes, incidence);
+    const auto curObj = [&] { return mcl ? state.mcl() : state.hopBytes(); };
 
     RestartResult& out = results[restart];
     out.objective = curObj();
@@ -180,7 +173,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
       // rejected, and a probe that proves it is cut and returns +inf, which
       // the same test rejects with the same draw.
       double bar = DeltaPlacementEval::kNoBar;
-      if (ecfg.trackLoads) {
+      if (mcl) {
         Rng peek = rng;
         bar = annealAcceptanceBar(curObj(), tie, temp, peek.nextDouble());
       }
@@ -188,7 +181,7 @@ SubproblemSolution annealSearch(const CommGraph& g, const Torus& cube,
       const DeltaPlacementEval::Summary& s =
           relocate ? state.probeMove(a, empty[t - verts], bar, hint)
                    : state.probeSwap(a, static_cast<RankId>(t), bar, hint);
-      const double cand = ecfg.trackLoads ? s.mcl : s.hopBytes;
+      const double cand = mcl ? s.mcl : s.hopBytes;
       const double delta = cand - curObj();
       if (delta <= tie || rng.nextDouble() < std::exp(-delta / temp)) {
         hint = kInvalidChannel;

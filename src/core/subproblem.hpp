@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/comm_graph.hpp"
+#include "routing/delta_eval.hpp"
 #include "topology/torus.hpp"
 
 namespace rahtm {
@@ -19,17 +20,10 @@ namespace exec {
 class ThreadPool;
 }
 
-class ArtifactSource;  // routing/delta_eval.hpp
-
 /// Hard feasibility cap for exhaustiveSearch: 9! = 362880 placements.
 /// dispatchSubproblem clamps SubproblemConfig::exhaustiveMaxVerts to this
 /// (with a warning) instead of letting a mid-pipeline solve abort.
 inline constexpr std::int64_t kExhaustiveNodeCap = 9;
-
-/// Mapping objective. The paper argues MCL is the right metric under
-/// adaptive routing (§III-A, Fig. 1); hop-bytes is kept as the
-/// routing-unaware ablation.
-enum class MapObjective { Mcl, HopBytes };
 
 struct SubproblemConfig {
   int milpMaxVerts = 4;        ///< exact Table II MILP up to this many nodes

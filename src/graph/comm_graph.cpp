@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -199,6 +200,54 @@ void writeCommGraph(std::ostream& os, const CommGraph& g) {
   }
 }
 
+RankId parseRankCount(const std::string& text, const std::string& where) {
+  std::int64_t ranks = 0;
+  try {
+    ranks = parseInt(text);
+  } catch (const ParseError& e) {
+    throw ParseError(where + ": " + e.what());
+  }
+  if (ranks < 0 || ranks > std::numeric_limits<RankId>::max()) {
+    throw ParseError(where + ": rank count must be in [0, " +
+                     std::to_string(std::numeric_limits<RankId>::max()) +
+                     "], got " + text);
+  }
+  return static_cast<RankId>(ranks);
+}
+
+Flow parseFlowLine(const std::vector<std::string>& fields, RankId ranks,
+                   const std::string& where) {
+  if (fields.size() != 3) {
+    throw ParseError(where + ": expected '<src> <dst> <bytes>'");
+  }
+  const auto rankId = [&](const std::string& text, const char* what) {
+    std::int64_t id = 0;
+    try {
+      id = parseInt(text);
+    } catch (const ParseError& e) {
+      throw ParseError(where + ": " + e.what());
+    }
+    if (id < 0 || id >= ranks) {
+      throw ParseError(where + ": " + what + " must be in [0, " +
+                       std::to_string(ranks) + "), got " + text);
+    }
+    return static_cast<RankId>(id);
+  };
+  Flow f;
+  f.src = rankId(fields[0], "src");
+  f.dst = rankId(fields[1], "dst");
+  try {
+    f.bytes = parseDouble(fields[2]);
+  } catch (const ParseError& e) {
+    throw ParseError(where + ": " + e.what());
+  }
+  if (!std::isfinite(f.bytes) || f.bytes < 0) {
+    throw ParseError(where + ": bytes must be a finite number >= 0, got " +
+                     fields[2]);
+  }
+  return f;
+}
+
 CommGraph readCommGraph(std::istream& is) {
   std::string line;
   CommGraph g;
@@ -209,21 +258,17 @@ CommGraph readCommGraph(std::istream& is) {
     const auto t = trim(line);
     if (t.empty() || t.front() == '#') continue;
     const auto fields = splitWhitespace(t);
+    const std::string where = "comm graph line " + std::to_string(lineNo);
     if (!sawHeader) {
       if (fields.size() != 2 || fields[0] != "ranks") {
-        throw ParseError("comm graph line " + std::to_string(lineNo) +
-                         ": expected 'ranks <N>'");
+        throw ParseError(where + ": expected 'ranks <N>'");
       }
-      g = CommGraph(static_cast<RankId>(parseInt(fields[1])));
+      g = CommGraph(parseRankCount(fields[1], where));
       sawHeader = true;
       continue;
     }
-    if (fields.size() != 3) {
-      throw ParseError("comm graph line " + std::to_string(lineNo) +
-                       ": expected '<src> <dst> <bytes>'");
-    }
-    g.addFlow(static_cast<RankId>(parseInt(fields[0])),
-              static_cast<RankId>(parseInt(fields[1])), parseDouble(fields[2]));
+    const Flow f = parseFlowLine(fields, g.numRanks(), where);
+    g.addFlow(f.src, f.dst, f.bytes);
   }
   if (!sawHeader) throw ParseError("comm graph: missing 'ranks' header");
   return g;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -184,5 +185,14 @@ ContractionResult contract(const CommGraph& g,
 ///   <src> <dst> <bytes>   (one line per flow)
 void writeCommGraph(std::ostream& os, const CommGraph& g);
 CommGraph readCommGraph(std::istream& is);
+
+/// The pieces of the text formats (readCommGraph, readProfile), checked
+/// before use: a rank count in [0, 2^31), and a "<src> <dst> <bytes>" line
+/// with ids in [0, ranks) and bytes finite and >= 0. Ids are read as 64-bit
+/// integers, so no value wraps. Errors are ParseErrors that begin with
+/// \p where (e.g. "profile line 7").
+RankId parseRankCount(const std::string& text, const std::string& where);
+Flow parseFlowLine(const std::vector<std::string>& fields, RankId ranks,
+                   const std::string& where);
 
 }  // namespace rahtm

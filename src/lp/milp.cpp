@@ -14,6 +14,9 @@ namespace rahtm::lp {
 
 namespace {
 
+constexpr double kIntTol = 1e-6;  // integrality tolerance
+constexpr double kGapTol = 1e-9;  // absolute optimality gap for termination
+
 struct Node {
   // Bound tightenings relative to the root model, as (var, lb, ub).
   struct BoundFix {
@@ -29,10 +32,9 @@ struct Node {
 };
 
 /// Index of the most fractional integer variable, or -1 if integral.
-int mostFractional(const Model& model, const std::vector<double>& x,
-                   double tol) {
+int mostFractional(const Model& model, const std::vector<double>& x) {
   int best = -1;
-  double bestDist = tol;
+  double bestDist = kIntTol;
   for (std::size_t j = 0; j < model.numVariables(); ++j) {
     if (model.variable(static_cast<VarId>(j)).type == VarType::Continuous)
       continue;
@@ -66,9 +68,9 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
   result.bestBound = -1e300;
 
   auto tryIncumbent = [&](const std::vector<double>& x) {
-    if (!rootModel.isFeasible(x, opts.intTol * 10)) return;
+    if (!rootModel.isFeasible(x, kIntTol * 10)) return;
     const double obj = minimize * rootModel.objectiveValue(x);
-    if (obj < incumbentObj - opts.gapTol) {
+    if (obj < incumbentObj - kGapTol) {
       incumbentObj = obj;
       result.x = x;
       result.hasIncumbent = true;
@@ -104,7 +106,7 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
     }
     Node node = open.top();
     open.pop();
-    if (node.bound >= incumbentObj - opts.gapTol) continue;  // pruned
+    if (node.bound >= incumbentObj - kGapTol) continue;  // pruned
     ++result.nodesExplored;
     obs::Heartbeats::instance().beat(obs::Pulse::MilpNodes);
     if ((result.nodesExplored & 255) == 0) {
@@ -145,15 +147,11 @@ MilpSolution solveMilp(const Model& rootModel, const MilpOptions& opts) {
       }
       if (relax.status == SolveStatus::Optimal) {
         const double bound = minimize * relax.objective;
-        if (bound < incumbentObj - opts.gapTol) {
-          const int branchVar = mostFractional(model, relax.x, opts.intTol);
+        if (bound < incumbentObj - kGapTol) {
+          const int branchVar = mostFractional(model, relax.x);
           if (branchVar < 0) {
             tryIncumbent(relax.x);
           } else {
-            if (opts.roundingHeuristic) {
-              const auto rounded = opts.roundingHeuristic(model, relax.x);
-              if (!rounded.empty()) tryIncumbent(rounded);
-            }
             const double xv = relax.x[static_cast<std::size_t>(branchVar)];
             Node down = node;
             down.bound = bound;

@@ -9,7 +9,6 @@
 /// budget-limited incumbent the same way the paper treats a long CPLEX run
 /// cut short.
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -21,12 +20,6 @@ struct MilpOptions {
   SimplexOptions simplex;
   long maxNodes = 200000;     ///< branch-and-bound node budget
   double timeLimitSec = 0;    ///< 0: no limit
-  double intTol = 1e-6;       ///< integrality tolerance
-  double gapTol = 1e-9;       ///< absolute optimality gap for termination
-  /// Optional callback turning a (fractional) relaxation point into a
-  /// feasible incumbent; returns empty vector when it cannot.
-  std::function<std::vector<double>(const Model&, const std::vector<double>&)>
-      roundingHeuristic;
   /// Optional feasible starting point. Installed as the initial incumbent
   /// (after a feasibility check), giving the search an immediate pruning
   /// cutoff — essential on symmetric models where integral relaxations are

@@ -28,10 +28,6 @@ VarId Model::addBinary(const std::string& name, double objCoeff) {
   return addVariable(name, 0, 1, VarType::Binary, objCoeff);
 }
 
-void Model::setObjectiveCoeff(VarId v, double coeff) {
-  variable(v).objCoeff = coeff;
-}
-
 void Model::addConstraint(const std::string& name, std::vector<Term> terms,
                           Sense sense, double rhs) {
   std::map<VarId, double> coalesced;
@@ -65,13 +61,6 @@ Variable& Model::variable(VarId v) {
 const Constraint& Model::constraint(std::size_t i) const {
   RAHTM_REQUIRE(i < cons_.size(), "constraint: bad index");
   return cons_[i];
-}
-
-bool Model::hasIntegers() const {
-  for (const Variable& v : vars_) {
-    if (v.type != VarType::Continuous) return true;
-  }
-  return false;
 }
 
 double Model::objectiveValue(const std::vector<double>& x) const {

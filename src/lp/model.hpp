@@ -57,7 +57,6 @@ class Model {
                       double objCoeff = 0);
   VarId addBinary(const std::string& name, double objCoeff = 0);
 
-  void setObjectiveCoeff(VarId v, double coeff);
   void setObjective(Objective sense) { objective_ = sense; }
   Objective objectiveSense() const { return objective_; }
 
@@ -73,9 +72,6 @@ class Model {
   const Constraint& constraint(std::size_t i) const;
   const std::vector<Variable>& variables() const { return vars_; }
   const std::vector<Constraint>& constraints() const { return cons_; }
-
-  /// True iff any variable is Binary or Integer.
-  bool hasIntegers() const;
 
   /// Evaluate the objective at a point.
   double objectiveValue(const std::vector<double>& x) const;

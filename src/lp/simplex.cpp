@@ -28,6 +28,7 @@ const char* toString(SolveStatus s) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kTol = 1e-8;  // feasibility / pricing tolerance
 
 enum class ColState : std::uint8_t { Basic, AtLower, AtUpper };
 
@@ -341,14 +342,14 @@ class Simplex {
             tableau_[static_cast<std::size_t>(i) * nStored_ + enter];
         const double step = sigma * alpha;
         const int bj = basis_[i];
-        if (step > opts_.tol) {
+        if (step > kTol) {
           const double room = (beta_[i] - colLower(bj)) / step;
           if (room < tMax) {
             tMax = std::max(room, 0.0);
             leaveRow = i;
             leaveBound = colLower(bj);
           }
-        } else if (step < -opts_.tol) {
+        } else if (step < -kTol) {
           if (colUpper(bj) == kInf) continue;
           const double room = (colUpper(bj) - beta_[i]) / (-step);
           if (room < tMax) {
@@ -391,14 +392,14 @@ class Simplex {
 
   int chooseEntering(bool bland) const {
     int best = -1;
-    double bestScore = opts_.tol;
+    double bestScore = kTol;
     for (int j = 0; j < nStored_; ++j) {
       if (state_[j] == ColState::Basic) continue;
       if (colLower(j) == colUpper(j)) continue;  // fixed, cannot move
       double viol = 0;
-      if (state_[j] == ColState::AtLower && redCost_[j] < -opts_.tol) {
+      if (state_[j] == ColState::AtLower && redCost_[j] < -kTol) {
         viol = -redCost_[j];
-      } else if (state_[j] == ColState::AtUpper && redCost_[j] > opts_.tol) {
+      } else if (state_[j] == ColState::AtUpper && redCost_[j] > kTol) {
         viol = redCost_[j];
       } else {
         continue;

@@ -47,7 +47,6 @@ struct LpSolution {
 };
 
 struct SimplexOptions {
-  double tol = 1e-8;          ///< feasibility / pricing tolerance
   long maxIterations = -1;    ///< -1: automatic (scales with model size)
   int refactorEvery = 128;    ///< rebuild the tableau every N pivots
   /// Wall-clock budget for one solve in seconds (<= 0: none). Checked

@@ -132,13 +132,6 @@ const Counter* MetricsRegistry::findCounter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Histogram* MetricsRegistry::findHistogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 std::vector<std::pair<std::string, const Counter*>>
 MetricsRegistry::counterRefs() const {
   std::lock_guard<std::mutex> lock(mu_);

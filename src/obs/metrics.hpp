@@ -98,7 +98,6 @@ class MetricsRegistry {
 
   /// Lookup without creation (mainly for tests); null when absent.
   const Counter* findCounter(const std::string& name) const;
-  const Histogram* findHistogram(const std::string& name) const;
 
   /// Stable (name, pointer) lists of the current counters/gauges, captured
   /// under the registry lock. The post-mortem writer (obs/postmortem.cpp)

@@ -453,11 +453,6 @@ void installPostmortem(const std::string& dir) {
   installHandlers(st);
 }
 
-bool postmortemInstalled() {
-  const PmState* st = gState.load(std::memory_order_acquire);
-  return st != nullptr && st->handlersInstalled;
-}
-
 bool writePostmortemNow(const char* reason, const char* dirOverride) {
   PmState* st = nullptr;
   {

@@ -46,9 +46,6 @@ std::string postmortemDirFromEnv();
 /// / current directory.
 void installPostmortem(const std::string& dir = "");
 
-/// True once installPostmortem() has run.
-bool postmortemInstalled();
-
 /// Write an artifact right now from normal (non-signal) context — the
 /// watchdog's stage-2 dump and tests use this. Initializes the crash-path
 /// state lazily if installPostmortem() was never called, and re-captures

@@ -32,11 +32,6 @@ void Tracer::setEventCap(std::size_t cap) {
   eventCap_ = cap;
 }
 
-std::size_t Tracer::eventCap() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return eventCap_;
-}
-
 bool Tracer::tryVisitOpenSpans(void (*fn)(void*, const TraceEvent&),
                                void* ctx) const {
   if (!mu_.try_lock()) return false;

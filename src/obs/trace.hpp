@@ -79,7 +79,6 @@ class Tracer {
   /// Maximum retained events; recording past it drops (and counts). The
   /// initial value comes from RAHTM_TRACE_CAP (default kDefaultEventCap).
   void setEventCap(std::size_t cap);
-  std::size_t eventCap() const;
   /// Events dropped at the cap; surfaced by writeSummary().
   std::int64_t droppedEvents() const {
     return dropped_.load(std::memory_order_relaxed);

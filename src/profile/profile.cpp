@@ -11,24 +11,17 @@ namespace rahtm {
 std::int64_t commCyclesPerIteration(const Workload& workload,
                                     const Torus& topo, const Mapping& mapping,
                                     const simnet::SimConfig& simConfig,
-                                    IterationModel model, int simIterations) {
+                                    int simIterations) {
   RAHTM_REQUIRE(simIterations >= 1, "commCyclesPerIteration: bad repetition");
-  if (model == IterationModel::RankPipelined) {
-    std::vector<simnet::Phase> stages;
-    stages.reserve(workload.phases.size() *
-                   static_cast<std::size_t>(simIterations));
-    for (int k = 0; k < simIterations; ++k) {
-      stages.insert(stages.end(), workload.phases.begin(),
-                    workload.phases.end());
-    }
-    return simnet::simulateIteration(topo, mapping, stages, simConfig).cycles /
-           simIterations;
+  std::vector<simnet::Phase> stages;
+  stages.reserve(workload.phases.size() *
+                 static_cast<std::size_t>(simIterations));
+  for (int k = 0; k < simIterations; ++k) {
+    stages.insert(stages.end(), workload.phases.begin(),
+                  workload.phases.end());
   }
-  std::int64_t cycles = 0;
-  for (const simnet::Phase& phase : workload.phases) {
-    cycles += simnet::simulatePhase(topo, mapping, phase, simConfig).cycles;
-  }
-  return cycles;
+  return simnet::simulateIteration(topo, mapping, stages, simConfig).cycles /
+         simIterations;
 }
 
 double calibrateComputeCycles(double baselineCommCycles, double commFraction) {
@@ -81,14 +74,13 @@ Profile readProfile(std::istream& is) {
     const auto t = trim(line);
     if (t.empty() || t.front() == '#') continue;
     const auto fields = splitWhitespace(t);
+    const std::string where = "profile line " + std::to_string(lineNo);
     const auto fail = [&](const std::string& why) {
-      throw ParseError("profile line " + std::to_string(lineNo) + ": " + why);
+      throw ParseError(where + ": " + why);
     };
     if (flowsExpected >= 0 && flowsSeen < flowsExpected) {
-      if (fields.size() != 3) fail("expected '<src> <dst> <bytes>'");
-      p.matrix.addFlow(static_cast<RankId>(parseInt(fields[0])),
-                       static_cast<RankId>(parseInt(fields[1])),
-                       parseDouble(fields[2]));
+      const Flow f = parseFlowLine(fields, p.ranks, where);
+      p.matrix.addFlow(f.src, f.dst, f.bytes);
       ++flowsSeen;
       continue;
     }
@@ -97,7 +89,7 @@ Profile readProfile(std::istream& is) {
     if (key == "benchmark") {
       p.benchmark = fields[1];
     } else if (key == "ranks") {
-      p.ranks = static_cast<RankId>(parseInt(fields[1]));
+      p.ranks = parseRankCount(fields[1], where);
       p.matrix.ensureRanks(p.ranks);
       sawRanks = true;
     } else if (key == "iterations") {
@@ -107,6 +99,7 @@ Profile readProfile(std::istream& is) {
     } else if (key == "compute_time") {
       p.computeTimePerIter = parseDouble(fields[1]);
     } else if (key == "flows") {
+      if (!sawRanks) fail("'flows' before 'ranks'");
       flowsExpected = parseInt(fields[1]);
     } else {
       fail("unknown key '" + key + "'");

@@ -52,28 +52,18 @@ class CommRecorder {
   CommGraph matrix_;
 };
 
-/// How an iteration's phases are timed.
-enum class IterationModel {
-  /// MPI semantics: per-rank stage dependencies, stages overlap in the
-  /// network as ranks skew (simnet::simulateIteration). The default — this
-  /// is the regime where optimizing the aggregate communication matrix
-  /// (IPM profile) is meaningful.
-  RankPipelined,
-  /// Hard global barrier after every phase (sum of per-phase makespans).
-  BarrierPerPhase,
-};
-
 /// Simulated communication time of one iteration of \p workload under
-/// \p mapping. With \p simIterations > 1 (RankPipelined only) that many
-/// iterations run back-to-back and the mean per-iteration time is returned:
-/// rank skew accumulates across iterations exactly as in a real run, so
-/// steady-state network behaviour — not the synchronized-start transient —
-/// is measured.
-std::int64_t commCyclesPerIteration(
-    const Workload& workload, const Torus& topo, const Mapping& mapping,
-    const simnet::SimConfig& simConfig,
-    IterationModel model = IterationModel::RankPipelined,
-    int simIterations = 1);
+/// \p mapping, with MPI semantics: per-rank stage dependencies, so stages
+/// overlap in the network as ranks skew (simnet::simulateIteration) — the
+/// regime where optimizing the aggregate communication matrix (IPM
+/// profile) is meaningful. With \p simIterations > 1 that many iterations
+/// run back-to-back and the mean per-iteration time is returned: rank skew
+/// accumulates across iterations exactly as in a real run, so steady-state
+/// network behaviour — not the synchronized-start transient — is measured.
+std::int64_t commCyclesPerIteration(const Workload& workload,
+                                    const Torus& topo, const Mapping& mapping,
+                                    const simnet::SimConfig& simConfig,
+                                    int simIterations = 1);
 
 /// Compute-phase calibration (DESIGN.md §1): pick the constant compute time
 /// that makes the *baseline* run match the target communication fraction

@@ -353,11 +353,11 @@ std::shared_ptr<const RouteTable> routeTableFor(const Torus& topo,
 
 DeltaPlacementEval::DeltaPlacementEval(
     const Torus& topo, const CommGraph& graph, std::vector<NodeId> placement,
-    Config cfg, std::shared_ptr<const RouteTable> routes,
+    MapObjective objective, std::shared_ptr<const RouteTable> routes,
     std::shared_ptr<const FlowIncidence> incidence)
     : topo_(&topo),
       graph_(&graph),
-      cfg_(cfg),
+      objective_(objective),
       placement_(std::move(placement)),
       sharedIncidence_(std::move(incidence)),
       routes_(std::move(routes)) {
@@ -373,10 +373,10 @@ DeltaPlacementEval::DeltaPlacementEval(
   if (routes_ != nullptr) {
     RAHTM_REQUIRE(routes_->topology() == topo,
                   "DeltaPlacementEval: route table of another topology");
-  } else if (cfg_.trackLoads) {
+  } else if (objective_ == MapObjective::Mcl) {
     routes_ = RouteTable::buildFull(topo);
   }
-  if (cfg_.trackLoads) {
+  if (objective_ == MapObjective::Mcl) {
     const auto slots = static_cast<std::size_t>(topo.numChannelSlots());
     loads_.assign(slots, 0.0);
     peak_.assign(slots, 0.0);
@@ -406,15 +406,14 @@ DeltaPlacementEval::DeltaPlacementEval(
 
 void DeltaPlacementEval::rebuild() {
   pending_ = Pending::None;
-  if (cfg_.trackLoads) {
+  if (objective_ == MapObjective::Mcl) {
     std::fill(loads_.begin(), loads_.end(), 0.0);
     addPlacementRoutes(*routes_, *graph_, placement_, loads_.data());
     for (std::size_t c = 0; c < loads_.size(); ++c) {
       peak_[c] = std::max(peak_[c], std::abs(loads_[c]));
     }
     sweepStats();
-  }
-  if (cfg_.trackHopBytes) {
+  } else {
     double hb = 0;
     for (const Flow& f : graph_->flows()) {
       const NodeId u = placement_[static_cast<std::size_t>(f.src)];
@@ -538,26 +537,25 @@ bool DeltaPlacementEval::witnessAbove(ChannelId w, double bar, RankId a,
 
 void DeltaPlacementEval::probeFlows(RankId a, RankId b, NodeId nodeA,
                                     NodeId nodeB) {
+  const bool loads = objective_ == MapObjective::Mcl;
   double hbDelta = 0;
   const auto visit = [&](const Flow& f, NodeId u0, NodeId v0, NodeId u1,
                          NodeId v1) {
-    if (cfg_.trackLoads) {
+    if (loads) {
       // Adding f * -bytes is exactly subtracting f * bytes.
       if (u0 != v0) accumulateRoute(u0, v0, -f.bytes);
       if (u1 != v1) accumulateRoute(u1, v1, f.bytes);
-    }
-    if (cfg_.trackHopBytes) {
+    } else {
       hbDelta += f.bytes * static_cast<double>(topo_->distance(u1, v1)) -
                  f.bytes * static_cast<double>(topo_->distance(u0, v0));
     }
   };
   forEachMovedFlow(a, b, nodeA, nodeB, visit);
-  if (cfg_.trackHopBytes) {
-    pendingSummary_.hopBytes = cur_.hopBytes + hbDelta;
-  }
-  if (cfg_.trackLoads) {
+  if (loads) {
     markTouched();
     probeLoadStats();
+  } else {
+    pendingSummary_.hopBytes = cur_.hopBytes + hbDelta;
   }
 }
 
@@ -603,7 +601,8 @@ const DeltaPlacementEval::Summary& DeltaPlacementEval::probe(
   ++probes_;
   // The witness first, then the channel holding the current MCL; a channel
   // on none of the probe's routes does not cut.
-  if (cfg_.trackLoads && witness != kInvalidChannel && bar < kNoBar &&
+  if (objective_ == MapObjective::Mcl && witness != kInvalidChannel &&
+      bar < kNoBar &&
       (witnessAbove(witness, bar, a, b, nodeA, nodeB) ||
        (maxChannel_ != kInvalidChannel && maxChannel_ != witness &&
         witnessAbove(maxChannel_, bar, a, b, nodeA, nodeB)))) {
@@ -640,7 +639,7 @@ const DeltaPlacementEval::Summary& DeltaPlacementEval::probeMove(
 
 void DeltaPlacementEval::commit() {
   RAHTM_REQUIRE(pending_ != Pending::None, "commit: no pending probe");
-  if (cfg_.trackLoads) {
+  if (objective_ == MapObjective::Mcl) {
     // The probe's own loads: commit is bit-identical by construction.
     for (std::size_t i = 0; i < touchedCount_; ++i) {
       const auto idx = static_cast<std::size_t>(touched_[i]);

@@ -216,17 +216,18 @@ class ArtifactSource {
 std::shared_ptr<const RouteTable> routeTableFor(const Torus& topo,
                                                 ArtifactSource* artifacts);
 
-struct DeltaEvalConfig {
-  bool trackLoads = true;      ///< maintain channel loads, MCL, sum-squares
-  bool trackHopBytes = false;  ///< maintain the hop-bytes total
-};
+/// Mapping objective. The paper argues MCL is the right metric under
+/// adaptive routing (§III-A, Fig. 1); hop-bytes is kept as the
+/// routing-unaware ablation.
+enum class MapObjective { Mcl, HopBytes };
 
 /// Probe-then-commit incremental evaluation of one placement.
 ///
 /// The engine owns a placement of `graph`'s vertices onto nodes of `topo`
 /// (several vertices may share a node; co-located flows add no load) and
-/// maintains, as configured, the dense channel loads with their maximum
-/// (MCL) and sum of squares, and/or the hop-bytes total. `probeSwap` /
+/// maintains what its objective reads: under Mcl the dense channel loads
+/// with their maximum (MCL) and sum of squares, under HopBytes the
+/// hop-bytes total (the other fields stay 0). `probeSwap` /
 /// `probeMove` return the statistics the placement WOULD have after the
 /// move without observably changing any state; `commit()` adopts the most
 /// recent probe in O(touched channels). A probe that is not committed costs
@@ -234,8 +235,6 @@ struct DeltaEvalConfig {
 /// overwrites the pending candidate loads.
 class DeltaPlacementEval {
  public:
-  using Config = DeltaEvalConfig;
-
   struct Summary {
     double mcl = 0;
     double sumSquares = 0;
@@ -250,7 +249,8 @@ class DeltaPlacementEval {
   /// \p incidence: optional pre-built incidence of \p graph's flows over its
   /// vertices, shared read-only; the engine builds its own when null.
   DeltaPlacementEval(const Torus& topo, const CommGraph& graph,
-                     std::vector<NodeId> placement, Config cfg = {},
+                     std::vector<NodeId> placement,
+                     MapObjective objective = MapObjective::Mcl,
                      std::shared_ptr<const RouteTable> routes = nullptr,
                      std::shared_ptr<const FlowIncidence> incidence = nullptr);
 
@@ -263,7 +263,7 @@ class DeltaPlacementEval {
 
   /// Candidate statistics if vertices a and b exchanged nodes.
   ///
-  /// Acceptance bar (trackLoads only): when \p witness names a channel and
+  /// Acceptance bar (Mcl only): when \p witness names a channel and
   /// the candidate load of that channel, or else of the channel holding the
   /// current MCL, is above \p bar, the candidate's MCL is too. The probe
   /// then routes nothing, changes no state, leaves nothing pending and
@@ -295,7 +295,7 @@ class DeltaPlacementEval {
   /// search.
   void reset(const std::vector<NodeId>& placement);
 
-  /// Debug/test view of the dense channel loads (trackLoads only).
+  /// Debug/test view of the dense channel loads (Mcl only).
   const std::vector<double>& loads() const { return loads_; }
 
   // ---- Instrumentation ----------------------------------------------------
@@ -331,15 +331,15 @@ class DeltaPlacementEval {
 
   const Torus* topo_;
   const CommGraph* graph_;
-  Config cfg_;
+  MapObjective objective_;
   std::vector<NodeId> placement_;
   FlowIncidence ownIncidence_;  ///< built locally when no shared incidence
   std::shared_ptr<const FlowIncidence> sharedIncidence_;
   const FlowIncidence* incidence_ = nullptr;  ///< shared or own
 
-  std::shared_ptr<const RouteTable> routes_;  ///< null unless trackLoads
+  std::shared_ptr<const RouteTable> routes_;  ///< null under HopBytes
 
-  // Dense loads (trackLoads).
+  // Dense loads (Mcl).
   std::vector<double> loads_;
   std::vector<double> peak_;  ///< per-channel peak |load| ever applied
   /// A channel whose load is cur_.mcl; kInvalidChannel when no channel

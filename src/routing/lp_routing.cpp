@@ -45,8 +45,7 @@ std::vector<FlowChannel> minimalChannels(const Torus& topo, NodeId src,
 }  // namespace
 
 LpRoutingResult optimalMinimalMcl(const Torus& topo, const CommGraph& graph,
-                                  const std::vector<NodeId>& nodeOfVertex,
-                                  const lp::SimplexOptions& opts) {
+                                  const std::vector<NodeId>& nodeOfVertex) {
   using lp::Term;
   lp::Model model;
   model.setObjective(lp::Objective::Minimize);
@@ -65,12 +64,12 @@ LpRoutingResult optimalMinimalMcl(const Torus& topo, const CommGraph& graph,
       continue;
     }
     const auto channels = minimalChannels(topo, s, t);
+    const std::string id = std::to_string(flowIdx);
     // Flow variables and per-node incident lists.
     std::map<NodeId, std::vector<Term>> nodeBalance;  // out +1 / in -1
     for (const FlowChannel& fc : channels) {
       const lp::VarId v = model.addContinuous(
-          "f" + std::to_string(flowIdx) + "_c" + std::to_string(fc.channel), 0,
-          f.bytes);
+          "f" + id + "_c" + std::to_string(fc.channel), 0, f.bytes);
       byChannel[fc.channel].push_back(v);
       nodeBalance[fc.from].push_back(Term{v, 1.0});
       nodeBalance[fc.to].push_back(Term{v, -1.0});
@@ -79,9 +78,8 @@ LpRoutingResult optimalMinimalMcl(const Torus& topo, const CommGraph& graph,
       double rhs = 0;
       if (node == s) rhs = f.bytes;
       else if (node == t) rhs = -f.bytes;
-      model.addConstraint(
-          "bal_f" + std::to_string(flowIdx) + "_n" + std::to_string(node),
-          terms, lp::Sense::Equal, rhs);
+      model.addConstraint("bal_f" + id + "_n" + std::to_string(node), terms,
+                          lp::Sense::Equal, rhs);
     }
     ++flowIdx;
   }
@@ -95,7 +93,7 @@ LpRoutingResult optimalMinimalMcl(const Torus& topo, const CommGraph& graph,
                         lp::Sense::LessEq, 0.0);
   }
 
-  const lp::LpSolution sol = lp::solveLp(model, opts);
+  const lp::LpSolution sol = lp::solveLp(model);
   LpRoutingResult r;
   r.status = sol.status;
   if (sol.status == lp::SolveStatus::Optimal) r.mcl = sol.objective;

@@ -30,7 +30,6 @@ struct LpRoutingResult {
 /// channels. Direction ties (torus offsets of exactly k/2) may also split,
 /// matching MAR's use of all Manhattan paths.
 LpRoutingResult optimalMinimalMcl(const Torus& topo, const CommGraph& graph,
-                                  const std::vector<NodeId>& nodeOfVertex,
-                                  const lp::SimplexOptions& opts = {});
+                                  const std::vector<NodeId>& nodeOfVertex);
 
 }  // namespace rahtm

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/json_reader.hpp"
@@ -15,12 +14,8 @@ namespace rahtm::serve {
 
 namespace {
 
-Shape parseShapeSpec(const std::string& spec) {
-  Shape shape;
-  for (const std::string& part : split(spec, 'x')) {
-    shape.push_back(static_cast<std::int32_t>(parseInt(part)));
-  }
-  return shape;
+std::string memberName(const std::string& member) {
+  return "request member '" + member + "'";
 }
 
 /// \p v as a T: a finite, integral number inside T's range, else a
@@ -29,7 +24,7 @@ Shape parseShapeSpec(const std::string& spec) {
 template <typename T>
 T checkedInt(const obs::JsonValue& v, const std::string& name) {
   if (!v.isNumber()) {
-    throw ParseError("request member '" + name + "' must be a number");
+    throw ParseError(memberName(name) + " must be a number");
   }
   // [lo, hi) in doubles: both bounds are exact powers of two (or zero).
   const double lo = static_cast<double>(std::numeric_limits<T>::min());
@@ -37,8 +32,7 @@ T checkedInt(const obs::JsonValue& v, const std::string& name) {
       2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
   const double x = v.number;
   if (!std::isfinite(x) || std::trunc(x) != x || x < lo || x >= hi) {
-    throw ParseError("request member '" + name +
-                     "' must be an integer in [" +
+    throw ParseError(memberName(name) + " must be an integer in [" +
                      std::to_string(std::numeric_limits<T>::min()) + ", " +
                      std::to_string(std::numeric_limits<T>::max()) + "]");
   }
@@ -80,7 +74,7 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
     }
     const std::string machine = doc.stringOr("machine", "");
     if (machine.empty()) throw ParseError("request missing 'machine'");
-    req.machine = parseShapeSpec(machine);
+    req.machine = parseShapeSpec(machine, memberName("machine"));
     req.concentration = intMember(doc, "concentration", req.concentration);
     req.benchmark = doc.stringOr("benchmark", req.benchmark);
     req.messageBytes = intMember(doc, "bytes", req.messageBytes);
@@ -97,7 +91,8 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
         "request member 'threads'");
     req.seed = intMember(doc, "seed", req.seed);
     const std::string grid = doc.stringOr("grid", "");
-    if (!grid.empty()) req.grid = parseShapeSpec(grid);
+    if (!grid.empty()) req.grid = parseShapeSpec(grid, memberName("grid"));
+    checkMapRequest(req, memberName);
 
     if (const obs::JsonValue* g = doc.find("graph")) {
       if (!g->isObject()) {
@@ -110,6 +105,18 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
       if (flows == nullptr || !flows->isArray()) {
         throw ParseError("graph.flows must be an array");
       }
+      // A flow id outside [0, ranks) would grow the graph past its
+      // declared rank count, so each is checked before addFlow.
+      const auto rankId = [ranks](const obs::JsonValue& v,
+                                  const std::string& member) {
+        const auto id = checkedInt<RankId>(v, member);
+        if (id < 0 || id >= ranks) {
+          throw ParseError(memberName(member) + " must be in [0, " +
+                           std::to_string(ranks) + "), got " +
+                           std::to_string(id));
+        }
+        return id;
+      };
       for (const obs::JsonValue& f : flows->array) {
         if (!f.isArray() || f.array.size() != 3 || !f.array[2].isNumber()) {
           throw ParseError("graph.flows entries must be [src,dst,bytes]");
@@ -120,9 +127,9 @@ MapRequest parseMapRequest(const obs::JsonValue& doc) {
               "request member 'graph.flows bytes' must be a finite number "
               ">= 0");
         }
-        req.graph.addFlow(checkedInt<RankId>(f.array[0], "graph.flows src"),
-                          checkedInt<RankId>(f.array[1], "graph.flows dst"),
-                          bytes);
+        const RankId src = rankId(f.array[0], "graph.flows src");
+        const RankId dst = rankId(f.array[1], "graph.flows dst");
+        req.graph.addFlow(src, dst, bytes);
       }
       req.hasGraph = true;
     }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "core/bisection_mapper.hpp"
 #include "core/greedy_mapper.hpp"
 #include "graph/stats.hpp"
@@ -16,6 +18,47 @@
 #include "workloads/workload.hpp"
 
 namespace rahtm::serve {
+
+Shape parseShapeSpec(const std::string& spec, const std::string& source) {
+  const std::vector<std::string> parts = split(spec, 'x');
+  if (parts.size() > kMaxDims) {
+    throw ParseError(source + " has more than " + std::to_string(kMaxDims) +
+                     " extents: '" + spec + "'");
+  }
+  Shape shape;
+  for (const std::string& part : parts) {
+    std::int64_t extent = 0;
+    try {
+      extent = parseInt(part);
+    } catch (const ParseError& e) {
+      throw ParseError(source + ": " + e.what());
+    }
+    if (extent < std::numeric_limits<std::int32_t>::min() ||
+        extent > std::numeric_limits<std::int32_t>::max()) {
+      throw ParseError(source + ": extent out of range: '" + spec + "'");
+    }
+    shape.push_back(static_cast<std::int32_t>(extent));
+  }
+  return shape;
+}
+
+void checkMapRequest(const MapRequest& req,
+                     std::string (*name)(const std::string& member)) {
+  for (const std::int32_t extent : req.machine) {
+    if (extent < 1) {
+      throw ParseError(name("machine") + " extents must be >= 1, got " +
+                       std::to_string(extent));
+    }
+  }
+  if (req.concentration < 1) {
+    throw ParseError(name("concentration") + " must be >= 1, got " +
+                     std::to_string(req.concentration));
+  }
+  if (req.messageBytes < 0) {
+    throw ParseError(name("bytes") + " must be >= 0, got " +
+                     std::to_string(req.messageBytes));
+  }
+}
 
 RequestInput MapService::buildInput(const MapRequest& req) const {
   const Torus machine = Torus::torus(req.machine);
@@ -65,9 +108,7 @@ std::unique_ptr<TaskMapper> MapService::makeMapper(const MapRequest& req,
     return std::make_unique<GreedyHopBytesMapper>(grid);
   }
   if (req.mapper == "rcb") {
-    BisectionConfig bisect;
-    bisect.logicalGrid = grid;
-    return std::make_unique<RecursiveBisectionMapper>(bisect);
+    return std::make_unique<RecursiveBisectionMapper>(grid);
   }
   if (req.mapper == "random") return std::make_unique<RandomMapper>();
   throw Error("unknown mapper '" + req.mapper + "'");

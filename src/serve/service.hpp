@@ -56,6 +56,19 @@ struct MapRequest {
   std::uint64_t seed = 0x5eed;  ///< annealing seed (subproblem portfolio)
 };
 
+/// \p spec ("4x4x2") as a Shape of 1..kMaxDims extents, each an integer a
+/// std::int32_t holds; anything else is a ParseError naming \p source.
+Shape parseShapeSpec(const std::string& spec, const std::string& source);
+
+/// Checks the numbers of a request from outside before any work: every
+/// machine extent >= 1, concentration >= 1 and message bytes >= 0. A
+/// violation is a ParseError naming the member through \p name ("machine",
+/// "concentration" or "bytes" in, the wire's or the command line's
+/// spelling of it out) and echoing the value. MapService itself keeps
+/// only its preconditions.
+void checkMapRequest(const MapRequest& req,
+                     std::string (*name)(const std::string& member));
+
 /// The resolved input of a request: the graph to map, the logical grid the
 /// clustering tile-search uses, and the per-stage structure the simulator
 /// consumes (named workloads only). Split from handling so the CLI can

@@ -32,6 +32,11 @@ namespace rahtm::simnet {
 
 namespace {
 
+/// Flits per cycle through a node's local port (intra-node messages).
+constexpr std::int32_t kLocalBandwidth = 8;
+/// Livelock guard: no run of the cycle engine may reach this many cycles.
+constexpr std::int64_t kMaxCycles = 500'000'000;
+
 struct Packet {
   std::int32_t flits;
   NodeId dst;
@@ -155,9 +160,6 @@ class IterationSim {
   IterationSim(const Torus& topo, const Mapping& mapping,
                const SimConfig& config)
       : topo_(topo), mapping_(mapping), cfg_(config), offsets_(topo) {
-    RAHTM_REQUIRE(cfg_.bytesPerFlit > 0 && cfg_.packetFlits > 0 &&
-                      cfg_.localBandwidth > 0 && cfg_.injectionBandwidth > 0,
-                  "SimConfig: parameters must be positive");
     const std::size_t slots = static_cast<std::size_t>(topo.numChannelSlots());
     const std::size_t nodes = static_cast<std::size_t>(topo.numNodes());
     const std::size_t ndims = topo.ndims();
@@ -238,9 +240,7 @@ class IterationSim {
     // Worker count: bounded by the shard count, and forced to 1 when we are
     // already inside a pool region (a nested parallelFor runs inline on one
     // thread, which would deadlock the barrier).
-    int requested = cfg_.pool != nullptr
-                        ? cfg_.pool->numThreads()
-                        : exec::ThreadPool::resolveThreads(cfg_.threads);
+    int requested = exec::ThreadPool::resolveThreads(cfg_.threads);
     if (exec::ThreadPool::inParallelRegion()) requested = 1;
     workers_ = std::max(1, std::min(requested, shardCount_));
     barrier_.emplace(workers_);
@@ -254,16 +254,7 @@ class IterationSim {
       liveness(0);
     }
     const auto body = [this](std::size_t w) { workerBody(static_cast<int>(w)); };
-    if (workers_ > 1 && cfg_.pool != nullptr) {
-      if (!cfg_.pool->tryGang(static_cast<std::size_t>(workers_), body)) {
-        // The shared pool cannot supply a true gang right now (another
-        // region in flight). Degrade to one participant — same result,
-        // since work partition and merge order never depend on workers_.
-        workers_ = 1;
-        barrier_.emplace(1);
-        workerBody(0);
-      }
-    } else if (workers_ > 1) {
+    if (workers_ > 1) {
       exec::ThreadPool own(workers_);
       own.parallelFor(static_cast<std::size_t>(workers_), body);
     } else {
@@ -486,7 +477,7 @@ class IterationSim {
 
   std::int32_t bandwidth(const Queue& q) const {
     switch (q.kind) {
-      case QueueKind::Local: return cfg_.localBandwidth;
+      case QueueKind::Local: return kLocalBandwidth;
       case QueueKind::Injection: return cfg_.injectionBandwidth;
       case QueueKind::Link: break;
     }
@@ -749,7 +740,7 @@ class IterationSim {
       return;
     }
     try {
-      RAHTM_REQUIRE(cycle_ < cfg_.maxCycles,
+      RAHTM_REQUIRE(cycle_ < kMaxCycles,
                     "simulate: cycle guard exceeded (livelock?)");
     } catch (...) {
       recordError();
@@ -854,7 +845,7 @@ class IterationSim {
 ///
 ///   stage cycles = max( busiest channel's expected flits,
 ///                       busiest NIC's injected flits / injectionBandwidth,
-///                       busiest local port's flits / localBandwidth,
+///                       busiest local port's flits / kLocalBandwidth,
 ///                       longest single-message store-and-forward latency )
 ///
 /// Stages are summed (barrier semantics): the per-rank pipelining the cycle
@@ -866,9 +857,6 @@ class IterationSim {
 /// `simnet_micro` ledger.
 PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
                     const std::vector<Phase>& stages, const SimConfig& cfg) {
-  RAHTM_REQUIRE(cfg.bytesPerFlit > 0 && cfg.packetFlits > 0 &&
-                    cfg.localBandwidth > 0 && cfg.injectionBandwidth > 0,
-                "SimConfig: parameters must be positive");
   obs::ScopedSpan span(obs::tracer(), "simnet.flow", "simnet");
   obs::PhaseScope phase("simnet.flow");
   span.attr("stages", static_cast<std::int64_t>(stages.size()));
@@ -906,7 +894,7 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
       if (srcNode == dstNode) {
         loc[static_cast<std::size_t>(srcNode)] += flits;
         r.localFlits += flits;
-        maxLat = std::max(maxLat, ceilDiv(flits, cfg.localBandwidth));
+        maxLat = std::max(maxLat, ceilDiv(flits, kLocalBandwidth));
         continue;
       }
       inj[static_cast<std::size_t>(srcNode)] += flits;
@@ -938,7 +926,7 @@ PhaseResult runFlow(const Torus& topo, const Mapping& mapping,
         injBound = std::max(injBound, ceilDiv(inj[n], cfg.injectionBandwidth));
       }
       if (loc[n] > 0) {
-        locBound = std::max(locBound, ceilDiv(loc[n], cfg.localBandwidth));
+        locBound = std::max(locBound, ceilDiv(loc[n], kLocalBandwidth));
       }
     }
     std::int64_t stageCycles =
@@ -1042,18 +1030,16 @@ void writeLinkHeatmapJson(std::ostream& os, const Torus& topo,
 
 PhaseResult simulatePhase(const Torus& topo, const Mapping& mapping,
                           const Phase& phase, const SimConfig& config) {
-  RAHTM_REQUIRE(mapping.complete(), "simulatePhase: incomplete mapping");
-  if (config.fidelity == SimFidelity::Flow) {
-    return runFlow(topo, mapping, {phase}, config);
-  }
-  IterationSim sim(topo, mapping, config);
-  return sim.run({phase});
+  return simulateIteration(topo, mapping, {phase}, config);
 }
 
 PhaseResult simulateIteration(const Torus& topo, const Mapping& mapping,
                               const std::vector<Phase>& stages,
                               const SimConfig& config) {
-  RAHTM_REQUIRE(mapping.complete(), "simulateIteration: incomplete mapping");
+  RAHTM_REQUIRE(mapping.complete(), "simulate: incomplete mapping");
+  RAHTM_REQUIRE(config.bytesPerFlit > 0 && config.packetFlits > 0 &&
+                    config.injectionBandwidth > 0,
+                "SimConfig: parameters must be positive");
   if (config.fidelity == SimFidelity::Flow) {
     return runFlow(topo, mapping, stages, config);
   }

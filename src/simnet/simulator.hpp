@@ -10,7 +10,7 @@
 /// the ring — the behaviour RAHTM's MAR approximation models). Processes
 /// share their node's single injection link, so the concentration factor
 /// creates realistic NIC contention; intra-node messages bypass the network
-/// through a higher-bandwidth local port.
+/// through a local port of 8 flits per cycle.
 ///
 /// Simplifications (documented, deliberate):
 ///  * store-and-forward at packet granularity (bandwidth/contention faithful,
@@ -26,10 +26,6 @@
 #include "mapping/mapping.hpp"
 #include "simnet/message.hpp"
 #include "topology/torus.hpp"
-
-namespace rahtm::exec {
-class ThreadPool;
-}
 
 namespace rahtm::simnet {
 
@@ -98,14 +94,12 @@ enum class SimFidelity {
 struct SimConfig {
   std::int32_t bytesPerFlit = 32;
   std::int32_t packetFlits = 16;        ///< message segmentation unit
-  std::int32_t localBandwidth = 8;      ///< intra-node flits per cycle
   /// NIC injection bandwidth in flits/cycle. BG/Q nodes feed 10 torus links
   /// from wide injection FIFOs, so experiments model injection faster than
   /// a single link (the default 1 keeps unit tests easy to hand-analyze).
   std::int32_t injectionBandwidth = 1;
   RoutingMode routing = RoutingMode::MinimalAdaptive;
   std::uint64_t seed = 0xbadc0ffee;     ///< adaptive tie-break randomness
-  std::int64_t maxCycles = 500'000'000; ///< safety guard
   /// Telemetry sampling period: every this many cycles, the occupancy of
   /// each valid link queue is observed into the
   /// "simnet.link_queue_flits" histogram (when a metrics registry is
@@ -125,12 +119,9 @@ struct SimConfig {
   /// a fixed shard count, cross-shard packet handoffs travel through
   /// per-(src,dst)-shard mailboxes merged in index order, and each shard
   /// owns a pre-split RNG stream — the PhaseResult is bit-identical for
-  /// every thread count, including 1.
+  /// every thread count, including 1. With more than one worker the run
+  /// starts its own pool; a run started inside a pool task runs on one.
   int threads = 1;
-  /// Optional externally-owned pool to run cycle-mode workers on (must
-  /// outlive the simulate* call). When null and threads > 1, the simulator
-  /// spins up a private pool for the run.
-  exec::ThreadPool* pool = nullptr;
 };
 
 struct PhaseResult {

@@ -16,13 +16,6 @@ Orientation Orientation::identity(std::size_t ndims) {
   return o;
 }
 
-bool Orientation::isIdentity() const {
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != static_cast<std::int8_t>(i) || flip[i] != 0) return false;
-  }
-  return true;
-}
-
 Coord Orientation::apply(const Coord& c, const Shape& shape) const {
   RAHTM_REQUIRE(c.size() == perm.size() && shape.size() == perm.size(),
                 "Orientation::apply: dimension mismatch");

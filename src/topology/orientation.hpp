@@ -29,8 +29,6 @@ struct Orientation {
   /// The identity orientation on \p ndims dimensions.
   static Orientation identity(std::size_t ndims);
 
-  bool isIdentity() const;
-
   /// Apply to a local coordinate within a block of shape \p shape
   /// (shape is the block shape *before* the orientation is applied).
   Coord apply(const Coord& c, const Shape& shape) const;

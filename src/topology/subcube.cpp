@@ -54,14 +54,6 @@ bool SubcubeView::containsParent(const Coord& parentCoord) const {
   return true;
 }
 
-NodeId SubcubeView::localNodeId(const Coord& local) const {
-  return local_.nodeId(local);
-}
-
-Coord SubcubeView::localCoordOf(NodeId local) const {
-  return local_.coordOf(local);
-}
-
 NodeId SubcubeView::parentNodeOf(NodeId local) const {
   return parent_->nodeId(toParent(local_.coordOf(local)));
 }

@@ -30,10 +30,6 @@ class SubcubeView {
   /// True iff the parent coordinate lies inside this block.
   bool containsParent(const Coord& parentCoord) const;
 
-  /// Local node id (row-major within the block) of a local coordinate.
-  NodeId localNodeId(const Coord& local) const;
-  Coord localCoordOf(NodeId local) const;
-
   /// Parent node id of a local node id.
   NodeId parentNodeOf(NodeId local) const;
 

@@ -37,9 +37,7 @@ struct PinnedMap {
 TEST(BisectionMapper, ProducesValidMappings) {
   const Torus t = Torus::torus(Shape{4, 4, 2});
   const Workload w = makeBT(64);
-  BisectionConfig cfg;
-  cfg.logicalGrid = w.logicalGrid;
-  RecursiveBisectionMapper mapper(cfg);
+  RecursiveBisectionMapper mapper(w.logicalGrid);
   const Mapping m = mapper.map(w.commGraph(), t, 2);
   EXPECT_TRUE(m.validate(t, 2).empty()) << m.validate(t, 2);
 }
@@ -73,9 +71,7 @@ TEST(BisectionMapper, BeatsRandomOnHopBytes) {
   const Torus t = Torus::torus(Shape{4, 4});
   const Workload w = makeCG(32);
   const CommGraph g = w.commGraph();
-  BisectionConfig cfg;
-  cfg.logicalGrid = w.logicalGrid;
-  RecursiveBisectionMapper rcb(cfg);
+  RecursiveBisectionMapper rcb(w.logicalGrid);
   RandomMapper random(5);
   EXPECT_LT(hopBytes(g, t, rcb.map(g, t, 2).nodeVector()),
             hopBytes(g, t, random.map(g, t, 2).nodeVector()));
@@ -84,9 +80,7 @@ TEST(BisectionMapper, BeatsRandomOnHopBytes) {
 TEST(BisectionMapper, DeterministicPerSeed) {
   const Torus t = Torus::torus(Shape{2, 2, 2});
   const Workload w = makeCG(16);
-  BisectionConfig cfg;
-  cfg.logicalGrid = w.logicalGrid;
-  RecursiveBisectionMapper a(cfg), b(cfg);
+  RecursiveBisectionMapper a(w.logicalGrid), b(w.logicalGrid);
   const Mapping ma = a.map(w.commGraph(), t, 2);
   const Mapping mb = b.map(w.commGraph(), t, 2);
   for (RankId r = 0; r < 16; ++r) EXPECT_EQ(ma.nodeOf(r), mb.nodeOf(r));
@@ -137,9 +131,7 @@ TEST(BisectionMapper, PinnedOutputs) {
     const Workload w = makeNasByName(
         p.benchmark, static_cast<RankId>(t.numNodes() * p.concentration));
     const CommGraph g = w.commGraph();
-    BisectionConfig cfg;
-    cfg.logicalGrid = w.logicalGrid;
-    RecursiveBisectionMapper mapper(cfg);
+    RecursiveBisectionMapper mapper(w.logicalGrid);
     const std::vector<NodeId> nodes =
         mapper.map(g, t, p.concentration).nodeVector();
     SCOPED_TRACE(std::string(p.benchmark) + " on " + t.describe() + " c" +

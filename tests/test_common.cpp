@@ -254,8 +254,8 @@ TEST(Cli, UnknownFlagThrowsNamingIt) {
   EXPECT_EQ(args.getInt("concentration", 1), 2);
 }
 
-// Compile-level check that RAHTM_LOG expands to a single complete
-// statement: inside an unbraced if/else, the else must attach to the
+// Compile-level check that RAHTM_LOG expands to a single expression with
+// no hidden if: inside an unbraced if/else, the else must attach to the
 // *outer* if. With the old `if (enabled) stream` expansion this else
 // bound to the macro's hidden if and the branch flipped.
 TEST(Log, MacroIsDanglingElseSafe) {

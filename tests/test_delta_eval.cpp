@@ -225,25 +225,27 @@ TEST(DeltaEval, InitialBuildMatchesPlacementLoadsBitExact) {
 }
 
 // reset() evaluates a whole placement from scratch, as exhaustive search
-// does once per permutation: over many placements on one engine, the loads
-// match placementLoads() and hop-bytes match hopBytes() bit for bit.
+// does once per permutation: over many placements, an Mcl engine's loads
+// match placementLoads() and a HopBytes engine's hop-bytes match hopBytes()
+// bit for bit.
 TEST(DeltaEval, ResetMatchesPlacementLoadsBitExact) {
   const Torus t = Torus::mesh({2, 2, 2});
   Rng rng(77);
   const auto verts = static_cast<std::size_t>(t.numNodes());
   const CommGraph g = randomGraph(static_cast<RankId>(verts), 3 * verts, rng);
-  DeltaEvalConfig cfg;
-  cfg.trackHopBytes = true;
   auto place = randomPlacement(verts, t.numNodes(), rng);
-  DeltaPlacementEval eval(t, g, place, cfg);
+  DeltaPlacementEval loads(t, g, place, MapObjective::Mcl);
+  DeltaPlacementEval hops(t, g, place, MapObjective::HopBytes);
   for (int trial = 0; trial < 50; ++trial) {
     rng.shuffle(place);
-    eval.reset(place);
-    EXPECT_EQ(eval.placement(), place);
-    EXPECT_EQ(eval.loads(), placementLoads(t, g, place).raw())
+    loads.reset(place);
+    hops.reset(place);
+    EXPECT_EQ(loads.placement(), place);
+    EXPECT_EQ(hops.placement(), place);
+    EXPECT_EQ(loads.loads(), placementLoads(t, g, place).raw())
         << "trial " << trial;
-    EXPECT_EQ(eval.mcl(), placementMcl(t, g, place));
-    EXPECT_EQ(eval.hopBytes(), hopBytes(g, t, place));
+    EXPECT_EQ(loads.mcl(), placementMcl(t, g, place));
+    EXPECT_EQ(hops.hopBytes(), hopBytes(g, t, place));
   }
 }
 
@@ -666,10 +668,7 @@ TEST(DeltaEval, HopBytesTracking) {
   const auto verts = static_cast<std::size_t>(t.numNodes());
   const CommGraph g = randomGraph(static_cast<RankId>(verts), 40, rng);
   auto place = randomPlacement(verts, t.numNodes(), rng);
-  DeltaEvalConfig cfg;
-  cfg.trackLoads = false;
-  cfg.trackHopBytes = true;
-  DeltaPlacementEval eval(t, g, place, cfg);
+  DeltaPlacementEval eval(t, g, place, MapObjective::HopBytes);
   EXPECT_DOUBLE_EQ(eval.hopBytes(), hopBytes(g, t, place));
   for (int step = 0; step < 100; ++step) {
     const auto a = static_cast<RankId>(rng.nextBounded(verts));

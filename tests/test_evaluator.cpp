@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "core/refine.hpp"
+#include "obs/heartbeat.hpp"
 #include "routing/oblivious.hpp"
 #include "topology/presets.hpp"
 #include "workloads/workload.hpp"
@@ -79,6 +80,37 @@ TEST(Refine, HopBytesObjective) {
   const RefineResult rr = refinePlacement(t, g, place, cfg);
   EXPECT_LT(rr.objectiveAfter, rr.objectiveBefore);
   EXPECT_EQ(t.distance(place[0], place[3]), 1);  // now adjacent
+}
+
+// The watchdog reads Pulse::RefineProbes. AllPairs beats each vertex's
+// pair count before probing those pairs, so the pulse advances by exactly
+// the probes made; Pruned beats each candidate list before probing it, so
+// by at least its probes.
+TEST(Refine, PulseAdvancesWithProbes) {
+  const Torus t = Torus::torus(Shape{4, 4});
+  const CommGraph g = makeCG(16).commGraph();
+  obs::Heartbeats& hb = obs::Heartbeats::instance();
+  const bool wasEnabled = hb.enabled();
+  hb.setEnabled(true);
+  for (const RefineCandidates mode :
+       {RefineCandidates::AllPairs, RefineCandidates::Pruned}) {
+    std::vector<NodeId> place(16);
+    std::iota(place.begin(), place.end(), 0);
+    Rng rng(3);
+    rng.shuffle(place);
+    RefineConfig cfg;
+    cfg.candidates = mode;
+    const std::uint64_t before = hb.value(obs::Pulse::RefineProbes);
+    const RefineResult rr = refinePlacement(t, g, place, cfg);
+    const std::uint64_t beats = hb.value(obs::Pulse::RefineProbes) - before;
+    EXPECT_GT(rr.probes, 0u);
+    if (mode == RefineCandidates::AllPairs) {
+      EXPECT_EQ(beats, rr.probes);
+    } else {
+      EXPECT_GE(beats, rr.probes);
+    }
+  }
+  hb.setEnabled(wasEnabled);
 }
 
 TEST(Refine, PassBudgetRespected) {

@@ -133,7 +133,25 @@ TEST(GraphIo, RejectsMalformedInput) {
   }
   for (const char* bytes : {"inf", "1e999", "-3", "nan"}) {
     std::stringstream ss(std::string("ranks 2\n0 1 ") + bytes + "\n");
-    EXPECT_THROW(readCommGraph(ss), PreconditionError) << bytes;
+    EXPECT_THROW(readCommGraph(ss), ParseError) << bytes;
+  }
+  // Ids are read as 64-bit integers and must lie in [0, ranks): a value
+  // that a 32-bit cast would wrap, or one past the header's count, is an
+  // error naming its line, not a rank that grows the graph.
+  for (const char* flow :
+       {"0 9 100", "9 0 100", "0 -1 5", "4294967297 1 5", "0 4 5"}) {
+    std::stringstream ss(std::string("ranks 4\n# flows\n") + flow + "\n");
+    try {
+      readCommGraph(ss);
+      ADD_FAILURE() << flow << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("comm graph line 3: ", 0), 0u)
+          << e.what();
+    }
+  }
+  for (const char* header : {"ranks 4294967297", "ranks -1"}) {
+    std::stringstream ss(std::string(header) + "\n");
+    EXPECT_THROW(readCommGraph(ss), ParseError) << header;
   }
   {
     // Comments and blank lines are fine.

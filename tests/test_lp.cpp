@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "lp/milp.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
 
 namespace rahtm::lp {
@@ -50,6 +53,28 @@ TEST(Simplex, SolvesTextbookLp) {
   EXPECT_NEAR(s.objective, 36.0, 1e-7);
   EXPECT_NEAR(s.x[0], 2.0, 1e-7);
   EXPECT_NEAR(s.x[1], 6.0, 1e-7);
+}
+
+// The watchdog reads Pulse::SimplexPivots: a solve advances it by exactly
+// the pivots it reports.
+TEST(Simplex, PulseAdvancesByPivots) {
+  obs::Heartbeats& hb = obs::Heartbeats::instance();
+  const bool wasEnabled = hb.enabled();
+  hb.setEnabled(true);
+  Model m;
+  const VarId x = m.addContinuous("x", 0, infinity(), 3);
+  const VarId y = m.addContinuous("y", 0, infinity(), 5);
+  m.setObjective(Objective::Maximize);
+  m.addConstraint("c1", {{x, 1}}, Sense::LessEq, 4);
+  m.addConstraint("c2", {{y, 2}}, Sense::LessEq, 12);
+  m.addConstraint("c3", {{x, 3}, {y, 2}}, Sense::LessEq, 18);
+  const std::uint64_t before = hb.value(obs::Pulse::SimplexPivots);
+  const LpSolution s = solveLp(m);
+  const std::uint64_t beats = hb.value(obs::Pulse::SimplexPivots) - before;
+  hb.setEnabled(wasEnabled);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_GT(s.pivots, 0);
+  EXPECT_EQ(beats, static_cast<std::uint64_t>(s.pivots));
 }
 
 // Each phase starts from a rebuilt tableau; with refactorEvery = 1 every
@@ -174,8 +199,8 @@ TEST_P(SimplexRandomized, MatchesGridSearch) {
     const double b = static_cast<double>(rng.nextInt(-3, 3));
     // rhs chosen so the origin is feasible: a*0 + b*0 <= rhs with rhs >= 0.
     const double rhs = static_cast<double>(rng.nextInt(0, 12));
-    m.addConstraint("c" + std::to_string(i), {{x, a}, {y, b}}, Sense::LessEq,
-                    rhs);
+    m.addConstraint(std::string("c") + std::to_string(i), {{x, a}, {y, b}},
+                    Sense::LessEq, rhs);
     cons.push_back({a, b, rhs});
   }
   const LpSolution s = solveLp(m);
@@ -222,6 +247,37 @@ TEST(Milp, SolvesPureBinaryKnapsack) {
   EXPECT_NEAR(s.x[c], 1.0, 1e-6);
 }
 
+// The watchdog reads Pulse::MilpNodes: a branch-and-bound search advances
+// it by exactly the nodes it explores, and Pulse::SimplexPivots by the
+// pivots of all its relaxations.
+TEST(Milp, PulsesAdvanceByNodesAndPivots) {
+  obs::Heartbeats& hb = obs::Heartbeats::instance();
+  const bool wasEnabled = hb.enabled();
+  hb.setEnabled(true);
+  Model m;
+  std::vector<VarId> v;
+  const double value[] = {9, 7, 6, 5, 4, 3};
+  const double weight[] = {5, 4, 4, 3, 3, 2};
+  std::vector<Term> terms;
+  for (int i = 0; i < 6; ++i) {
+    v.push_back(m.addBinary(std::string("b") + std::to_string(i), value[i]));
+    terms.push_back({v.back(), weight[i]});
+  }
+  m.setObjective(Objective::Maximize);
+  m.addConstraint("w", terms, Sense::LessEq, 10);
+  const std::uint64_t nodesBefore = hb.value(obs::Pulse::MilpNodes);
+  const std::uint64_t pivotsBefore = hb.value(obs::Pulse::SimplexPivots);
+  const MilpSolution s = solveMilp(m);
+  const std::uint64_t nodes = hb.value(obs::Pulse::MilpNodes) - nodesBefore;
+  const std::uint64_t pivots =
+      hb.value(obs::Pulse::SimplexPivots) - pivotsBefore;
+  hb.setEnabled(wasEnabled);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_GT(s.nodesExplored, 1);
+  EXPECT_EQ(nodes, static_cast<std::uint64_t>(s.nodesExplored));
+  EXPECT_EQ(pivots, static_cast<std::uint64_t>(s.lpPivots));
+}
+
 TEST(Milp, IntegralityChangesOptimum) {
   // max x st 2x <= 3: LP gives 1.5, integer gives 1.
   Model m;
@@ -257,7 +313,9 @@ TEST(Milp, RespectsNodeBudget) {
   // gracefully (status NodeLimit or Optimal, never a crash).
   Model m;
   std::vector<VarId> v;
-  for (int i = 0; i < 12; ++i) v.push_back(m.addBinary("b" + std::to_string(i), 1));
+  for (int i = 0; i < 12; ++i) {
+    v.push_back(m.addBinary(std::string("b") + std::to_string(i), 1));
+  }
   m.setObjective(Objective::Maximize);
   for (int i = 0; i < 4; ++i) {
     m.addConstraint("row" + std::to_string(i),
@@ -279,7 +337,7 @@ TEST(Milp, UnresolvedRootKeepsItsBound) {
   Model m;
   std::vector<VarId> v;
   for (int i = 0; i < 12; ++i) {
-    v.push_back(m.addBinary("b" + std::to_string(i), -1));
+    v.push_back(m.addBinary(std::string("b") + std::to_string(i), -1));
   }
   for (int i = 0; i < 4; ++i) {
     m.addConstraint("row" + std::to_string(i),
@@ -313,7 +371,7 @@ TEST_P(MilpRandomized, MatchesExhaustiveEnumeration) {
   std::vector<double> costs;
   for (int i = 0; i < nvars; ++i) {
     const double c = static_cast<double>(rng.nextInt(-4, 4));
-    vars.push_back(m.addBinary("b" + std::to_string(i), c));
+    vars.push_back(m.addBinary(std::string("b") + std::to_string(i), c));
     costs.push_back(c);
   }
   const int rows = static_cast<int>(rng.nextInt(1, 3));
@@ -328,7 +386,8 @@ TEST_P(MilpRandomized, MatchesExhaustiveEnumeration) {
       if (a != 0) terms.push_back({vars[static_cast<std::size_t>(i)], a});
     }
     const double rhs = static_cast<double>(rng.nextInt(0, 6));
-    m.addConstraint("r" + std::to_string(r), terms, Sense::LessEq, rhs);
+    m.addConstraint(std::string("r") + std::to_string(r), terms, Sense::LessEq,
+                    rhs);
     rowCoeffs.push_back(coeffs);
     rowRhs.push_back(rhs);
   }

@@ -227,7 +227,6 @@ TEST(RubikMapperTest, TileRanksLandInOneBlock) {
 }
 
 TEST(RubikMapperTest, RejectsMismatchedShapes) {
-  const Torus t = Torus::torus(Shape{4, 4});
   RubikConfig cfg;
   cfg.appShape = Shape{4, 8};
   cfg.appTile = Shape{3, 4};  // does not divide

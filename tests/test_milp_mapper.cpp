@@ -100,22 +100,6 @@ TEST(MilpMapper, FewerClustersThanVertices) {
   EXPECT_EQ(cube.distance(r.vertexOf[0], r.vertexOf[1]), 2);
 }
 
-TEST(MilpMapper, HopBytesObjectivePrefersAdjacency) {
-  // Under the hop-bytes ablation the same instance places the heavy pair
-  // adjacent (distance 1) — the exact opposite of the MCL objective.
-  const Torus cube = Torus::mesh(Shape{2, 2});
-  CommGraph g(4);
-  g.addExchange(0, 1, 100);
-  g.addExchange(0, 2, 1);
-  g.addExchange(1, 3, 1);
-  g.addExchange(2, 3, 1);
-  MilpMapOptions opts;
-  opts.hopBytesObjective = true;
-  const MilpMapResult r = milpMapToCube(g, cube, opts);
-  ASSERT_TRUE(r.solved);
-  EXPECT_EQ(cube.distance(r.vertexOf[0], r.vertexOf[1]), 1);
-}
-
 TEST(MilpMapper, EmptyGraphIsTriviallyMapped) {
   const Torus cube = Torus::mesh(Shape{2, 2});
   const CommGraph g(4);

@@ -98,6 +98,27 @@ TEST(ProfileIo, RejectsMalformedInput) {
     std::stringstream ss("ranks 4\nflows 1\n0 1\n");  // malformed flow
     EXPECT_THROW(readProfile(ss), ParseError);
   }
+  // Ids are read as 64-bit integers and must lie in [0, ranks), and bytes
+  // must be finite and >= 0: each bad flow is an error naming its line.
+  for (const char* flow : {"4294967297 1 5", "0 9 100", "0 -1 5", "0 1 inf",
+                           "0 1 nan", "0 1 -3"}) {
+    std::stringstream ss(std::string("ranks 4\nflows 1\n") + flow + "\n");
+    try {
+      readProfile(ss);
+      ADD_FAILURE() << flow << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("profile line 3: ", 0), 0u)
+          << e.what();
+    }
+  }
+  {
+    std::stringstream ss("ranks 4294967297\n");  // wraps to 1 in 32 bits
+    EXPECT_THROW(readProfile(ss), ParseError);
+  }
+  {
+    std::stringstream ss("flows 1\nranks 4\n0 1 5\n");  // no count yet
+    EXPECT_THROW(readProfile(ss), ParseError);
+  }
 }
 
 TEST(CommRecorderTest, AggregatesSends) {

@@ -563,6 +563,16 @@ TEST(Protocol, MalformedRequestsThrow) {
            {"graph.flows bytes",
             R"("graph":{"ranks":4,"flows":[[0,1,-1e999]]}})"},
            {"graph.flows bytes", R"("graph":{"ranks":4,"flows":[[0,1,-3]]}})"},
+           // Flow ids lie in [0, ranks): the graph never grows past the
+           // rank count it declares.
+           {"graph.flows dst", R"("graph":{"ranks":4,"flows":[[0,-1,5]]}})"},
+           {"graph.flows dst", R"("graph":{"ranks":4,"flows":[[0,7,5]]}})"},
+           {"graph.flows src", R"("graph":{"ranks":4,"flows":[[4,0,5]]}})"},
+           // Numbers no solve may see: checked by the parser, not left to
+           // the topology and workload code's preconditions.
+           {"concentration", R"("concentration":-3})"},
+           {"concentration", R"("concentration":0})"},
+           {"bytes", R"("bytes":-5})"},
        }) {
     try {
       serve::parseMapRequestLine(head + body);
@@ -573,6 +583,18 @@ TEST(Protocol, MalformedRequestsThrow) {
           << body << ": " << e.what();
     }
   }
+  // A machine extent must be >= 1 and fit in 32 bits.
+  for (const char* machine : {"3x0", "-2x2", "4294967298x2", "2x"}) {
+    try {
+      serve::parseMapRequestLine(
+          std::string(R"({"schema":"rahtm.serve.request/v1","machine":")") +
+          machine + "\"}");
+      ADD_FAILURE() << machine << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("'machine'"), std::string::npos)
+          << machine << ": " << e.what();
+    }
+  }
   // Values at the edges of their types still parse.
   const serve::MapRequest ok = serve::parseMapRequestLine(
       head + R"("seed":18446744073709549568,"concentration":2147483647})");
@@ -580,9 +602,9 @@ TEST(Protocol, MalformedRequestsThrow) {
   EXPECT_EQ(ok.concentration, std::numeric_limits<int>::max());
 }
 
-// The reply to a request that fails to parse echoes its id, whether the
-// parser rejects a member (beam 0, a negative flow volume) or the graph's
-// own check does (a negative rank id).
+// The reply to a request that fails to parse echoes its id, whichever
+// member the parser rejects (beam 0, a negative flow volume, a malformed
+// beam, too many threads, a negative rank id).
 TEST(Protocol, ErrorRepliesEchoTheRequestId) {
   const std::string head = R"({"schema":"rahtm.serve.request/v1",)";
   using Case = std::pair<std::string, std::string>;

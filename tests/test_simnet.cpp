@@ -36,7 +36,6 @@ SimConfig baseConfig() {
   SimConfig cfg;
   cfg.bytesPerFlit = 1;  // 1 byte == 1 flit: sizes are exact flit counts
   cfg.packetFlits = 4;
-  cfg.localBandwidth = 8;
   return cfg;
 }
 
@@ -98,7 +97,7 @@ TEST(Simulator, IntraNodeTrafficNeverTouchesNetwork) {
   EXPECT_EQ(r.networkFlits, 0);
   EXPECT_EQ(r.localFlits, 128);
   EXPECT_EQ(r.flitHops, 0);
-  // Local port moves localBandwidth flits/cycle.
+  // The local port moves 8 flits/cycle.
   EXPECT_LE(r.cycles, 64 / 8 + 2);
 }
 
@@ -240,7 +239,7 @@ TEST(Simulator, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Simulator, SharedPoolMatchesPrivatePool) {
+TEST(Simulator, InsidePoolTaskMatchesOwnPool) {
   const Torus t = Torus::torus(Shape{4, 4});
   Mapping m(32);
   for (RankId r = 0; r < 32; ++r) m.assign(r, r / 2, r % 2);
@@ -248,16 +247,15 @@ TEST(Simulator, SharedPoolMatchesPrivatePool) {
   SimConfig cfg = baseConfig();
   cfg.threads = 4;
   const PhaseResult own = simulateIteration(t, m, stages, cfg);
-  exec::ThreadPool pool(4);
-  cfg.pool = &pool;
-  expectSameResult(own, simulateIteration(t, m, stages, cfg));
   // Reentrancy: simulating from inside a pool task must degrade to one
   // participant (not deadlock) and still produce the identical result.
-  PhaseResult nested;
-  pool.parallelFor(1, [&](std::size_t) {
-    nested = simulateIteration(t, m, stages, cfg);
+  // Two tasks, since parallelFor(1, ...) runs inline outside any region.
+  exec::ThreadPool pool(2);
+  std::vector<PhaseResult> nested(2);
+  pool.parallelFor(2, [&](std::size_t i) {
+    nested[i] = simulateIteration(t, m, stages, cfg);
   });
-  expectSameResult(own, nested);
+  for (const PhaseResult& r : nested) expectSameResult(own, r);
 }
 
 // --- Bit-for-bit pin ------------------------------------------------------

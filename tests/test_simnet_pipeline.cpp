@@ -110,10 +110,8 @@ TEST(Iteration, RepetitionReachesSteadyState) {
   const Mapping m = oneRankPerNode(t);
   SimConfig cfg;
   cfg.injectionBandwidth = 4;
-  const auto one = commCyclesPerIteration(w, t, m, cfg,
-                                          IterationModel::RankPipelined, 1);
-  const auto four = commCyclesPerIteration(w, t, m, cfg,
-                                           IterationModel::RankPipelined, 4);
+  const auto one = commCyclesPerIteration(w, t, m, cfg, 1);
+  const auto four = commCyclesPerIteration(w, t, m, cfg, 4);
   // Per-iteration steady-state time is within 2x of the cold-start time
   // (sanity: repetition amortizes, it does not blow up).
   EXPECT_LE(four, 2 * one);

@@ -86,7 +86,9 @@ TEST(WorkloadCG, ReducePartnersAreXorStrides) {
   EXPECT_TRUE(found);
   // Stride-1 phase: rank 0 exchanges with rank 1.
   for (const simnet::Message& m : w.phases[2]) {
-    if (m.src == 0) EXPECT_EQ(m.dst, 1);
+    if (m.src == 0) {
+      EXPECT_EQ(m.dst, 1);
+    }
   }
 }
 

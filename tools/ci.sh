@@ -3,8 +3,9 @@
 # Release configuration, an ASan/UBSan configuration, and a ThreadSanitizer
 # configuration covering the threaded execution-layer tests (TSan cannot be
 # combined with ASan, hence the separate tree; RAHTM_SANITIZE, see the
-# top-level CMakeLists.txt). Run from anywhere; build trees live under the
-# repo root as build-ci-release/, build-ci-sanitize/ and build-ci-tsan/.
+# top-level CMakeLists.txt). Every tree builds with warnings as errors
+# (RAHTM_WERROR). Run from anywhere; build trees live under the repo root as
+# build-ci-release/, build-ci-sanitize/ and build-ci-tsan/.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -24,13 +25,14 @@ run_config() {
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" "${extra[@]}"
 }
 
-run_config release "" -DCMAKE_BUILD_TYPE=Release
+run_config release "" -DCMAKE_BUILD_TYPE=Release -DRAHTM_WERROR=ON
 run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DRAHTM_SANITIZE=address,undefined
+  -DRAHTM_SANITIZE=address,undefined -DRAHTM_WERROR=ON
 # TSan pass: only the suites that exercise the thread pool and the
 # parallel pipeline paths (the serial suites add nothing under TSan).
 # test_simnet covers the sharded parallel simulator (spin-barrier cycle
-# loop, mailbox handoffs, gang scheduling on a shared pool); test_serve the
+# loop, mailbox handoffs, workers on the simulator's own pool, one
+# participant inside a pool task); test_serve the
 # cross-request artifact cache and the scheduler's serving threads;
 # test_delta_eval annealing restarts on the pool over one shared route
 # table; test_mem the memory registry and its budget, which pool workers
@@ -40,7 +42,7 @@ run_config sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # golden mapfile runs drive the whole threaded pipeline (restarts on the
 # pool, the refine seed pair, the watchdog thread) through rahtm_map.
 run_config tsan 'test_exec|test_subproblem|test_rahtm|test_flight_recorder|test_simnet|test_serve|test_delta_eval|test_merge|test_mem|tool_rahtm_map_golden_.*_t4' \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRAHTM_SANITIZE=thread
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRAHTM_SANITIZE=thread -DRAHTM_WERROR=ON
 
 # Benchmark-regression gate: emit the smoke ledger at the small scale,
 # validate the schema, then compare against the committed baseline (the

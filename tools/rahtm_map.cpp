@@ -37,13 +37,30 @@ namespace {
 
 using namespace rahtm;
 
-Shape parseShape(const std::string& spec) {
-  Shape shape;
-  for (const std::string& part : split(spec, 'x')) {
-    shape.push_back(static_cast<std::int32_t>(parseInt(part)));
+/// Flag --\p name as a T, or \p fallback when absent. Malformed text or a
+/// value T cannot hold is a ParseError naming the flag, never a wrapped
+/// value.
+template <typename T>
+T intFlag(const CliArgs& args, const std::string& name, T fallback) {
+  if (!args.has(name)) return fallback;
+  const std::string text = args.getString(name, "");
+  std::int64_t value = 0;
+  try {
+    value = parseInt(text);
+  } catch (const ParseError& e) {
+    throw ParseError("--" + name + ": " + e.what());
   }
-  return shape;
+  if (value < std::numeric_limits<T>::min() ||
+      value > std::numeric_limits<T>::max()) {
+    throw ParseError("--" + name + " must be an integer in [" +
+                     std::to_string(std::numeric_limits<T>::min()) + ", " +
+                     std::to_string(std::numeric_limits<T>::max()) +
+                     "], got " + text);
+  }
+  return static_cast<T>(value);
 }
+
+std::string flagName(const std::string& member) { return "--" + member; }
 
 const std::vector<std::string> kFlags = {
     "help", "machine", "concentration", "benchmark", "profile", "grid", "out",
@@ -185,9 +202,36 @@ int main(int argc, char** argv) {
     }
     const bool memReport = args.getBool("mem-report");
 
-    const Torus machine = Torus::torus(parseShape(args.getString("machine", "")));
-    const int concentration =
-        static_cast<int>(args.getInt("concentration", 1));
+    // ---- Request: every number is checked here, before any work ---------
+    // Orchestration (input resolution, mapper ladder, solve, validation,
+    // quality metrics) lives in serve::MapService; this tool is a thin
+    // wrapper that keeps the historical flags and stderr output.
+    serve::MapRequest req;
+    req.machine =
+        serve::parseShapeSpec(args.getString("machine", ""), "--machine");
+    req.concentration = intFlag(args, "concentration", 1);
+    req.benchmark = args.getString("benchmark", "CG");
+    req.messageBytes = intFlag<std::int64_t>(args, "bytes", 4096);
+    req.mapper = args.getString("mapper", "rahtm");
+    const std::int64_t beam = args.getInt("beam", 64);
+    if (beam < 1 || beam > std::numeric_limits<int>::max()) {
+      std::cerr << "--beam must be a positive int\n";
+      return usage(argv[0]);
+    }
+    req.beamWidth = static_cast<int>(beam);
+    req.enableMerge = !args.getBool("no-merge");
+    req.finalRefinement = !args.getBool("no-refine");
+    // The offline tool defaults to the paper's exact MILP on every leaf
+    // cube it can reach (the library default is tuned for test speed).
+    req.leafMilpVerts = intFlag(args, "leaf-milp", 8);
+    req.threads = args.has("threads")
+                      ? exec::parseThreads(args.getString("threads", ""),
+                                           "--threads")
+                      : exec::threadsFromEnv();
+    serve::checkMapRequest(req, flagName);
+
+    const Torus machine = Torus::torus(req.machine);
+    const int concentration = req.concentration;
     const auto ranks =
         static_cast<RankId>(machine.numNodes() * concentration);
 
@@ -219,33 +263,6 @@ int main(int argc, char** argv) {
       }
     } flushGuard{telemetry, machine, capture, heatmapPath};
 
-    // ---- Request + input: profile file or named synthetic workload --------
-    // Orchestration (input resolution, mapper ladder, solve, validation,
-    // quality metrics) lives in serve::MapService; this tool is a thin
-    // wrapper that keeps the historical flags and stderr output.
-    serve::MapService service;  // uncached: identical to one-shot solves
-    serve::MapRequest req;
-    req.machine = machine.shape();
-    req.concentration = concentration;
-    req.benchmark = args.getString("benchmark", "CG");
-    req.messageBytes = args.getInt("bytes", 4096);
-    req.mapper = args.getString("mapper", "rahtm");
-    const std::int64_t beam = args.getInt("beam", 64);
-    if (beam < 1 || beam > std::numeric_limits<int>::max()) {
-      std::cerr << "--beam must be a positive int\n";
-      return usage(argv[0]);
-    }
-    req.beamWidth = static_cast<int>(beam);
-    req.enableMerge = !args.getBool("no-merge");
-    req.finalRefinement = !args.getBool("no-refine");
-    // The offline tool defaults to the paper's exact MILP on every leaf
-    // cube it can reach (the library default is tuned for test speed).
-    req.leafMilpVerts = static_cast<int>(args.getInt("leaf-milp", 8));
-    req.threads = args.has("threads")
-                      ? exec::parseThreads(args.getString("threads", ""),
-                                           "--threads")
-                      : exec::threadsFromEnv();
-
     // The simulator settings are checked here, with the other flags, so a
     // bad value fails before the solve.
     simnet::SimConfig sim;
@@ -262,6 +279,8 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
 
+    // ---- Input: profile file or named synthetic workload ------------------
+    serve::MapService service;  // uncached: identical to one-shot solves
     serve::RequestInput input;
     if (args.has("profile")) {
       std::ifstream in(args.getString("profile", ""));
@@ -272,7 +291,10 @@ int main(int argc, char** argv) {
       const Profile p = readProfile(in);
       req.hasGraph = true;
       input.graph = p.matrix;
-      if (args.has("grid")) input.grid = parseShape(args.getString("grid", ""));
+      if (args.has("grid")) {
+        input.grid =
+            serve::parseShapeSpec(args.getString("grid", ""), "--grid");
+      }
       if (input.graph.numRanks() != ranks) {
         std::cerr << "profile has " << input.graph.numRanks()
                   << " ranks; machine*"
